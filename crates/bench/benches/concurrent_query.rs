@@ -12,11 +12,10 @@
 //!   `&PatternIndex` (shards + interior mutability), every client
 //!   querying concurrently under shard *read* locks.
 //!
-//! The pairwise LRU is disabled and per-query scoring is kept
-//! single-threaded so the benchmark isolates *lock* behaviour: with
-//! caching on, repeat queries collapse to hash lookups and both regimes
-//! finish instantly; with intra-query fan-out on, the single-lock holder
-//! would soak every core and hide the serialisation.
+//! The pairwise LRU is disabled so the benchmark isolates *lock*
+//! behaviour: with caching on, repeat queries collapse to hash lookups
+//! and both regimes finish instantly. Every query scores on its calling
+//! thread, so the clients are the only parallelism.
 
 use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
@@ -57,7 +56,6 @@ fn build_index(shards: usize) -> PatternIndex {
     let index = PatternIndex::new(IndexOptions {
         shards,
         cache_capacity: 0, // isolate locking, not caching
-        threads: 1,        // one core per query; parallelism comes from clients
         prefilter: PrefilterConfig { min_candidates: 8, per_k: 2, ..PrefilterConfig::default() },
         ..IndexOptions::default()
     });

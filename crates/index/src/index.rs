@@ -46,8 +46,8 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLoc
 use std::time::Instant;
 
 use kastio_core::{
-    ByteMode, IdString, KastEvaluator, KastKernel, KastOptions, Normalization, PatternPipeline,
-    StringKernel, TokenId, TokenInterner,
+    ByteMode, IdString, KastKernel, KastOptions, Normalization, PatternPipeline, StringKernel,
+    TokenId, TokenInterner,
 };
 use kastio_quota::{Account, MemoryQuota};
 use kastio_trace::{valid_entry_name, valid_entry_tag, PatternSignature, SignatureConfig, Trace};
@@ -55,15 +55,6 @@ use kastio_trace::{valid_entry_name, valid_entry_tag, PatternSignature, Signatur
 use crate::entry::{entry_footprint_bytes, EntryId, IndexEntry};
 use crate::lru::SharedKernelCache;
 use crate::prefilter::{select_candidates_ranked, PrefilterConfig};
-
-/// Below this many cache misses a query scores sequentially — spawning
-/// scoped threads costs more than a handful of kernel evaluations.
-const MIN_PARALLEL_MISSES: usize = 8;
-
-/// Below this many corpus entries the per-shard prefilter fan-out runs
-/// inline — a signature distance is three subtractions and three
-/// multiplications, so small corpora never pay for thread spawns.
-const MIN_PARALLEL_PREFILTER: usize = 1024;
 
 /// Configuration of a [`PatternIndex`].
 ///
@@ -92,14 +83,12 @@ pub struct IndexOptions {
     /// Total capacity of the index-wide pairwise kernel cache (pairs,
     /// shared by all shards; 0 disables caching).
     pub cache_capacity: usize,
-    /// OS threads for batch scoring (0 = available parallelism).
-    pub threads: usize,
     /// Number of shards the corpus is split across (0 is treated as 1).
     ///
     /// Sharding never changes query results — it changes which lock an
-    /// ingest takes and how the prefilter fans out. One shard is the right
-    /// choice for single-threaded/embedded use; the serve daemon defaults
-    /// to several so ingests stop blocking unrelated queries.
+    /// ingest takes. One shard is the right choice for
+    /// single-threaded/embedded use; the serve daemon defaults to several
+    /// so ingests stop blocking unrelated queries.
     pub shards: usize,
 }
 
@@ -111,7 +100,6 @@ impl Default for IndexOptions {
             signature: SignatureConfig::default(),
             prefilter: PrefilterConfig::default(),
             cache_capacity: 4096,
-            threads: 0,
             shards: 1,
         }
     }
@@ -799,10 +787,10 @@ impl PatternIndex {
     /// the majority-vote label.
     ///
     /// Pipeline: convert + intern the query once, prefilter the corpus by
-    /// signature distance (fanned across shards), serve cached pairs from
-    /// the shared kernel cache, score the remaining candidates in
-    /// parallel, merge and rank. Holds *read* locks on the shards, so any
-    /// number of queries run concurrently.
+    /// signature distance (shard by shard), serve cached pairs from the
+    /// shared kernel cache, score the remaining candidates, merge and
+    /// rank — all on the calling thread. Holds *read* locks on the
+    /// shards, so any number of queries run concurrently.
     ///
     /// # Examples
     ///
@@ -827,10 +815,9 @@ impl PatternIndex {
         self.query_interned(&query_string, &query_signature, k)
     }
 
-    /// Answers one query per trace, in order. Each query parallelises
-    /// internally; this is the library half of the wire protocol's
-    /// `MQUERY` batching, which amortises framing and round-trips rather
-    /// than computation.
+    /// Answers one query per trace, in order, on the calling thread; this
+    /// is the library half of the wire protocol's `MQUERY` batching,
+    /// which amortises framing and round-trips rather than computation.
     pub fn query_batch(&self, traces: &[Trace], k: usize) -> Vec<QueryResult> {
         traces.iter().map(|trace| self.query(trace, k)).collect()
     }
@@ -948,8 +935,7 @@ impl PatternIndex {
     }
 
     /// Ranks every entry by signature distance and keeps the global
-    /// `budget` closest, fanning the per-shard distance scans across
-    /// scoped threads when the corpus is large enough to pay for them.
+    /// `budget` closest, scanning the shards one after another.
     ///
     /// Ties break by global entry id, so the selected candidate *set* is
     /// identical for every shard count (and identical to the historic
@@ -968,25 +954,14 @@ impl PatternIndex {
         }
         // Per-shard: rank the shard's entries, keep at most `budget` (the
         // global winners are a subset of every shard's local winners).
-        let rank_shard = |s: usize| -> Vec<(f64, u32, Candidate)> {
-            select_candidates_ranked(signature, &shards[s].signatures, budget)
-                .into_iter()
-                .map(|(dist, pos)| (dist, shards[s].entries[pos].id.0, (s, pos)))
-                .collect()
-        };
-        let mut ranked: Vec<(f64, u32, Candidate)> =
-            if shards.len() > 1 && total >= MIN_PARALLEL_PREFILTER {
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> =
-                        (0..shards.len()).map(|s| scope.spawn(move || rank_shard(s))).collect();
-                    handles
-                        .into_iter()
-                        .flat_map(|h| h.join().expect("prefilter shard thread panicked"))
-                        .collect()
-                })
-            } else {
-                (0..shards.len()).flat_map(rank_shard).collect()
-            };
+        let mut ranked: Vec<(f64, u32, Candidate)> = Vec::new();
+        for (s, shard) in shards.iter().enumerate() {
+            ranked.extend(
+                select_candidates_ranked(signature, &shard.signatures, budget)
+                    .into_iter()
+                    .map(|(dist, pos)| (dist, shard.entries[pos].id.0, (s, pos))),
+            );
+        }
         // Global top-`budget` by (distance, id) — the same order the
         // unsharded index used, with ids standing in for corpus position.
         let order = |a: &(f64, u32, Candidate), b: &(f64, u32, Candidate)| {
@@ -1072,55 +1047,20 @@ impl PatternIndex {
     }
 
     /// Scores `query` against the candidates at `misses` (across all
-    /// shards), striping the batch over scoped OS threads when it is
-    /// large enough to pay for them.
-    ///
-    /// Each spawned scoring thread owns one warm [`KastEvaluator`], so a
-    /// batch of `k` kernel evaluations reuses one set of scratch buffers
-    /// instead of allocating per pair; small batches stay on the calling
-    /// thread and go through [`KastKernel::raw`], whose per-*thread*
-    /// scratch stays warm across queries on a persistent connection
-    /// thread. Values are bit-identical either way.
+    /// shards) on the calling thread, through [`KastKernel::raw`]. Its
+    /// per-*thread* scratch buffers stay warm across queries on the
+    /// serve daemon's persistent workers, so a batch allocates nothing
+    /// once the buffers have grown.
     fn score_batch(
         &self,
         shards: &[&Shard],
         query: &IdString,
         misses: &[Candidate],
     ) -> Vec<(Candidate, f64)> {
-        let eval = |evaluator: &mut KastEvaluator, &(s, pos): &Candidate| {
-            ((s, pos), evaluator.raw(query, &shards[s].entries[pos].string))
-        };
-        let threads = effective_threads(self.opts.threads, misses.len());
-        if threads <= 1 || misses.len() < MIN_PARALLEL_MISSES {
-            let kernel = &self.kernel;
-            return misses
-                .iter()
-                .map(|&(s, pos)| ((s, pos), kernel.raw(query, &shards[s].entries[pos].string)))
-                .collect();
-        }
-        let mut scored: Vec<(Candidate, f64)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    scope.spawn(move || {
-                        let mut evaluator = KastEvaluator::new(self.opts.kast);
-                        let mut acc = Vec::new();
-                        let mut at = t;
-                        while at < misses.len() {
-                            acc.push(eval(&mut evaluator, &misses[at]));
-                            at += threads;
-                        }
-                        acc
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("index scorer thread panicked"))
-                .collect()
-        });
-        // Deterministic merge order regardless of thread count.
-        scored.sort_by_key(|&((s, pos), _)| (s, pos));
-        scored
+        misses
+            .iter()
+            .map(|&(s, pos)| ((s, pos), self.kernel.raw(query, &shards[s].entries[pos].string)))
+            .collect()
     }
 }
 
@@ -1139,15 +1079,6 @@ fn read_shard(shard: &RwLock<Shard>) -> RwLockReadGuard<'_, Shard> {
 
 fn write_shard(shard: &RwLock<Shard>) -> RwLockWriteGuard<'_, Shard> {
     shard.write().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-fn effective_threads(requested: usize, work: usize) -> usize {
-    let threads = if requested == 0 {
-        std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
-    } else {
-        requested
-    };
-    threads.min(work).max(1)
 }
 
 fn majority_label(neighbors: &[Neighbor]) -> Option<String> {
@@ -1393,34 +1324,6 @@ mod tests {
         // Two votes each; x has mass 1.0, y has 0.5.
         assert_eq!(majority_label(&neighbors).as_deref(), Some("x"));
         assert_eq!(majority_label(&[]), None);
-    }
-
-    #[test]
-    fn parallel_and_sequential_scoring_agree_bitwise() {
-        let sequential = PatternIndex::new(IndexOptions {
-            threads: 1,
-            prefilter: PrefilterConfig { enabled: false, ..PrefilterConfig::default() },
-            cache_capacity: 0,
-            ..IndexOptions::default()
-        });
-        let parallel = PatternIndex::new(IndexOptions {
-            threads: 4,
-            prefilter: PrefilterConfig { enabled: false, ..PrefilterConfig::default() },
-            cache_capacity: 0,
-            ..IndexOptions::default()
-        });
-        for i in 0..MIN_PARALLEL_MISSES + 4 {
-            sequential.ingest(format!("w{i}"), "w", checkpoint(8 + i)).unwrap();
-            parallel.ingest(format!("w{i}"), "w", checkpoint(8 + i)).unwrap();
-        }
-        let q = scan(10);
-        let a = sequential.query(&q, 20);
-        let b = parallel.query(&q, 20);
-        assert_eq!(a.neighbors.len(), b.neighbors.len());
-        for (x, y) in a.neighbors.iter().zip(&b.neighbors) {
-            assert_eq!(x.name, y.name);
-            assert_eq!(x.similarity.to_bits(), y.similarity.to_bits());
-        }
     }
 
     #[test]

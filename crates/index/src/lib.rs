@@ -16,8 +16,10 @@
 //!    kernel values — one striped pool for all shards, so repeated or
 //!    neighbouring queries stop paying for the quadratic string
 //!    comparison and a hot query warms the cache once, not per shard;
-//! 3. **scoped-thread batch scoring** — the surviving candidates are
-//!    striped across OS threads (`std::thread::scope`, no async runtime).
+//! 3. **inline batch scoring** — the surviving candidates are scored on
+//!    the calling thread, reusing its warm kernel scratch buffers. A
+//!    query never spawns threads: the serve daemon's parallelism comes
+//!    from concurrent requests on its bounded worker pool.
 //!
 //! The corpus is **sharded** ([`IndexOptions::shards`]): entries are
 //! assigned to shard `id % S`, every mutable accelerator sits behind
@@ -48,7 +50,8 @@
 //! [`fault`] provides the crash-point injection the durability suite
 //! (`tests/wal_recovery.rs`) uses to prove no acked `INGEST` is ever
 //! lost — even to `kill -9` mid-write. [`server`] wraps the index in a
-//! `TcpListener` daemon speaking the line protocol of [`protocol`]
+//! `TcpListener` daemon (Linux only: one epoll reactor plus a bounded
+//! worker pool) speaking the line protocol of [`protocol`]
 //! (`HELLO` / `INGEST` / `BATCH INGEST` / `QUERY` / `MQUERY` / `STATS` /
 //! `SAVE` / `SHUTDOWN` — specified in `docs/PROTOCOL.md`), and the
 //! `kastio serve` / `kastio query` subcommands front it on the command
@@ -81,7 +84,7 @@ pub mod lru;
 pub mod persist;
 pub mod prefilter;
 pub mod protocol;
-pub mod runtime;
+mod runtime;
 pub mod server;
 pub mod signal;
 pub mod wal;
@@ -101,7 +104,6 @@ pub use protocol::{
     decode_trace_inline, encode_trace_inline, parse_batch_ingest_item, parse_request, read_reply,
     MetricsSnapshot, Request, MAX_BATCH_ITEMS, PROTOCOL_VERBS, PROTOCOL_VERSION,
 };
-pub use runtime::{EpollRuntime, Runtime, RuntimeKind, ThreadsRuntime};
 pub use server::{Server, ServerMetrics, ShutdownHandle};
 pub use signal::{watch_termination, SignalWatcher, TermSignal};
 pub use wal::WalManager;

@@ -70,17 +70,16 @@ pub const PROTOCOL_VERSION: u32 = 1;
 /// realistic inline trace (a trace line of `n` operations is well under
 /// 16 bytes per op). An over-long line is answered with
 /// `ERR line too long` and *drained to its newline* — the connection
-/// stays framed and usable. The cap is runtime-independent: the blocking
-/// reader enforces it through a `take()` adapter, the epoll reactor
-/// through [`LineFramer`].
+/// stays framed and usable. The epoll reactor enforces it through
+/// [`LineFramer`].
 pub const MAX_REQUEST_LINE_BYTES: u64 = 1 << 20;
 
 /// One framed line as [`LineFramer`] emits them.
 #[derive(Debug, PartialEq, Eq)]
 pub enum FramedLine {
-    /// A complete line, **including** its trailing newline (matching the
-    /// blocking reader's `read_line` output byte for byte, so downstream
-    /// byte accounting is identical under both runtimes).
+    /// A complete line, **including** its trailing newline (matching
+    /// `read_line` output byte for byte, so the batched verbs'
+    /// cumulative byte cap counts the newline).
     Full(String),
     /// The line hit [`MAX_REQUEST_LINE_BYTES`] without a newline. The
     /// capped prefix has been discarded and the framer is now *draining*:
@@ -92,9 +91,9 @@ pub enum FramedLine {
 /// Incremental, non-blocking line framing for the epoll reactor: bytes
 /// arrive in arbitrary chunks ([`LineFramer::push_bytes`]) and complete
 /// protocol lines come out ([`LineFramer::next_line`]), with the same
-/// 1 MiB cap, UTF-8 validation and over-long-line drain semantics as the
-/// blocking `take(MAX).read_line()` path — proven byte-identical by the
-/// conformance suite running against both runtimes.
+/// 1 MiB cap, UTF-8 validation and over-long-line drain semantics as a
+/// blocking `take(MAX).read_line()` loop — pinned by the conformance and
+/// split-framing suites.
 ///
 /// Invalid UTF-8 is connection-fatal (an `InvalidData` error), exactly
 /// as `read_line` treats it; validation happens *before* the over-long
@@ -132,8 +131,8 @@ impl LineFramer {
     /// # Errors
     ///
     /// `InvalidData` when a completed line (or the capped prefix of an
-    /// over-long one) is not valid UTF-8 — connection-fatal, as under the
-    /// blocking reader.
+    /// over-long one) is not valid UTF-8 — connection-fatal, as under
+    /// `read_line`.
     pub fn next_line(&mut self) -> std::io::Result<Option<FramedLine>> {
         let max = usize::try_from(MAX_REQUEST_LINE_BYTES).unwrap_or(usize::MAX);
         if self.draining {

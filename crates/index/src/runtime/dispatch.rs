@@ -1,21 +1,21 @@
-//! The runtime-agnostic request core: everything between "a framed
-//! request line arrived" and "these reply bytes leave, then record
-//! latency" lives here, shared verbatim by the threads runtime and the
-//! epoll reactor so the wire bytes cannot drift between them.
+//! The request core: everything between "a framed request arrived" and
+//! "these reply bytes leave, then record latency" lives here, apart from
+//! the reactor's socket handling.
 //!
-//! The split with the runtimes:
+//! The split with the reactor:
 //!
-//! * [`execute_parsed`] turns one parsed request (plus its batched item
-//!   lines, live-read or pre-collected) into an [`Executed`] reply with
-//!   all the bookkeeping a runtime needs afterwards.
-//! * [`finish_after_write`] records the stage/latency histograms and the
-//!   slow-log entry once the runtime has written and flushed the reply.
 //! * [`ItemCollector`] is the incremental item-line state machine for the
-//!   batched verbs, preserving the exact error priority of the original
-//!   blocking reader (over-long line ≻ cumulative cap ≻ memory admission
-//!   ≻ parse error), byte-counted and budget-charged line by line.
+//!   batched verbs: the reactor feeds it the announced item lines as they
+//!   are framed, with a fixed error priority (over-long line ≻ cumulative
+//!   cap ≻ memory admission ≻ parse error), byte-counted and
+//!   budget-charged line by line.
+//! * [`execute_parsed`] runs one parsed request (plus its collected item
+//!   lines) inline on a worker and turns it into an [`Executed`] reply
+//!   with all the bookkeeping the reactor needs afterwards.
+//! * [`finish_after_write`] records the stage/latency histograms and the
+//!   slow-log entry once the reactor has written and flushed the reply.
 
-use std::io::{self, BufRead, Read};
+use std::io;
 use std::time::Instant;
 
 use kastio_quota::Account;
@@ -25,10 +25,10 @@ use kastio_trace::Trace;
 use crate::index::{IngestError, PatternIndex, QueryTimings};
 use crate::persist::save_index_wal;
 use crate::protocol::{
-    decode_trace_inline, parse_batch_ingest_item, render_hello_reply, render_hello_unsupported,
-    render_metrics_reply, render_mquery_reply, render_query_reply, render_slowlog_get,
-    render_slowlog_len, render_slowlog_reset, render_stats_reply, render_trace_line, Request,
-    SlowlogCmd, MAX_REQUEST_LINE_BYTES, PROTOCOL_VERSION,
+    decode_trace_inline, render_hello_reply, render_hello_unsupported, render_metrics_reply,
+    render_mquery_reply, render_query_reply, render_slowlog_get, render_slowlog_len,
+    render_slowlog_reset, render_stats_reply, render_trace_line, FramedLine, Request, SlowlogCmd,
+    PROTOCOL_VERSION,
 };
 use crate::server::{
     verb_slot, ServerMetrics, STAGE_CACHE, STAGE_KERNEL, STAGE_PARSE, STAGE_PREFILTER, STAGE_REPLY,
@@ -38,8 +38,8 @@ use crate::wal::WalManager;
 
 use super::ServeState;
 
-/// The shared daemon state one request executes against. Runtimes build
-/// one per connection (threads) or per worker (epoll) from the
+/// The shared daemon state one request executes against. The reactor
+/// keeps one and hands each worker a clone, built from the
 /// [`ServeState`]; cloning is cheap (all `Arc`s and handles).
 #[derive(Clone)]
 pub(crate) struct RequestContext {
@@ -88,58 +88,6 @@ pub(crate) fn request_summary(request: &Request) -> (&'static str, String) {
     }
 }
 
-/// What reading one request (or batch item) line produced.
-pub(crate) enum Line {
-    /// A complete newline-terminated line is in the buffer.
-    Full,
-    /// The peer closed the connection.
-    Eof,
-    /// The line hit [`MAX_REQUEST_LINE_BYTES`] without a newline; the
-    /// remainder (up to the next newline) is still unread — drain it
-    /// with [`drain_line`] to keep the connection framed.
-    TooLong,
-}
-
-pub(crate) fn read_request_line<R: BufRead>(reader: &mut R, line: &mut String) -> io::Result<Line> {
-    line.clear();
-    if reader.by_ref().take(MAX_REQUEST_LINE_BYTES).read_line(line)? == 0 {
-        return Ok(Line::Eof);
-    }
-    if line.len() as u64 >= MAX_REQUEST_LINE_BYTES && !line.ends_with('\n') {
-        return Ok(Line::TooLong);
-    }
-    Ok(Line::Full)
-}
-
-/// Discards the unread remainder of an over-long line — everything up to
-/// and including the next newline — without buffering it, so the
-/// connection can keep serving requests after an `ERR line too long`.
-/// Returns `false` when the stream ends first (nothing left to serve).
-pub(crate) fn drain_line<R: BufRead>(reader: &mut R) -> io::Result<bool> {
-    loop {
-        let buffered = reader.fill_buf()?;
-        if buffered.is_empty() {
-            return Ok(false); // EOF mid-line
-        }
-        match buffered.iter().position(|&byte| byte == b'\n') {
-            Some(at) => {
-                reader.consume(at + 1);
-                return Ok(true);
-            }
-            None => {
-                let len = buffered.len();
-                reader.consume(len);
-            }
-        }
-    }
-}
-
-/// Whether a read error is the per-connection idle deadline firing
-/// (`WouldBlock` on Unix, `TimedOut` on Windows).
-pub(crate) fn is_timeout(error: &io::Error) -> bool {
-    matches!(error.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
-}
-
 /// Nanoseconds elapsed since `start`, saturating.
 pub(crate) fn span_ns(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
@@ -149,7 +97,7 @@ pub(crate) fn span_ns(start: Instant) -> u64 {
 /// account, released when the request's reply has been rendered (drop).
 /// Admission is all-or-nothing per line: a line that no longer fits
 /// sheds the whole request. Owns a handle to the account (rather than
-/// borrowing) so the epoll reactor can keep a charge alive across the
+/// borrowing) so the reactor can keep a charge alive across the
 /// collect → dispatch → execute handoff.
 pub(crate) struct BufferCharge {
     account: Account,
@@ -204,25 +152,13 @@ pub(crate) enum Items<T> {
     Bad(String),
 }
 
-/// One framed item line as a runtime hands it to the collector.
-pub(crate) enum ItemLine {
-    /// A complete line, **including** its trailing newline (the
-    /// cumulative byte cap counts the newline, exactly as the blocking
-    /// reader's `read_line` did).
-    Full(String),
-    /// The line hit the 1 MiB cap without a newline; the runtime has
-    /// drained (or is draining) the remainder.
-    TooLong,
-}
-
 /// The incremental state machine that gathers the `count` announced item
 /// lines of a batched request — one [`ItemCollector::push`] per framed
-/// line, from either a blocking reader or the reactor. Every accepted
-/// line's bytes are first admitted against the memory budget through the
-/// owned [`BufferCharge`]; the first line that no longer fits sheds the
-/// whole request with `ERR busy reason=memory` (buffered items and their
-/// charges are dropped), while the remaining announced lines are still
-/// consumed so the connection stays framed.
+/// line. Every accepted line's bytes are first admitted against the
+/// memory budget through the owned [`BufferCharge`]; the first line that
+/// no longer fits sheds the whole request with `ERR busy reason=memory`
+/// (buffered items and their charges are dropped), while the remaining
+/// announced lines are still consumed so the connection stays framed.
 pub(crate) struct ItemCollector<T> {
     count: usize,
     seen: usize,
@@ -251,13 +187,14 @@ impl<T> ItemCollector<T> {
         self.seen >= self.count
     }
 
-    /// Feeds the next announced line. Error priority matches the
-    /// blocking reader exactly: the first failure wins, later lines are
-    /// still counted (consumed) but neither stored nor charged.
-    pub fn push(&mut self, line: ItemLine) {
+    /// Feeds the next announced line. A full line's bytes include its
+    /// newline, which the cumulative byte cap counts. The first failure
+    /// wins; later lines are still counted (consumed) but neither stored
+    /// nor charged.
+    pub fn push(&mut self, line: FramedLine) {
         self.seen += 1;
         let line = match line {
-            ItemLine::TooLong => {
+            FramedLine::TooLong => {
                 if self.first_error.is_none() {
                     self.items = Vec::new();
                     self.charge.release_all();
@@ -265,7 +202,7 @@ impl<T> ItemCollector<T> {
                 }
                 return;
             }
-            ItemLine::Full(line) => line,
+            FramedLine::Full(line) => line,
         };
         if self.first_error.is_some() {
             return; // keep consuming announced lines to stay framed
@@ -310,59 +247,16 @@ pub(crate) fn parse_mquery_item(item: &str) -> Result<Trace, String> {
     decode_trace_inline(item.trim())
 }
 
-/// Feeds the collector from a live blocking reader (the threads
-/// runtime). Returns `false` on hangup — EOF or the idle deadline
-/// mid-batch — in which case the caller closes the connection without a
-/// reply.
-pub(crate) fn fill_collector<R: BufRead, T>(
-    reader: &mut R,
-    metrics: &ServerMetrics,
-    collector: &mut ItemCollector<T>,
-) -> io::Result<bool> {
-    let mut line = String::new();
-    while !collector.done() {
-        let status = match read_request_line(reader, &mut line) {
-            Ok(status) => status,
-            Err(error) if is_timeout(&error) => {
-                metrics.record_timeout();
-                return Ok(false);
-            }
-            Err(error) => return Err(error),
-        };
-        match status {
-            Line::Eof => return Ok(false),
-            Line::TooLong => {
-                // Drain to the newline and keep the connection framed;
-                // the batch as a whole is refused.
-                collector.push(ItemLine::TooLong);
-                if !drain_line(reader)? {
-                    return Ok(false);
-                }
-            }
-            Line::Full => collector.push(ItemLine::Full(std::mem::take(&mut line))),
-        }
-    }
-    Ok(true)
-}
-
-/// Pre-collected item lines of a batched request (the epoll reactor
-/// gathers them through [`ItemCollector`] before dispatching to a
-/// worker), or nothing for the unbatched verbs.
+/// The collected item lines of a batched request (the reactor gathers
+/// them through [`ItemCollector`] before dispatching to a worker), or
+/// nothing for the unbatched verbs.
 pub(crate) enum CollectedItems {
     None,
     Batch(Items<(String, Trace)>, BufferCharge),
     Queries(Items<Trace>, BufferCharge),
 }
 
-/// Where a batched request's item lines come from: read live off the
-/// connection (threads runtime — blocking, inline with execution), or
-/// already collected by the reactor.
-pub(crate) enum ItemsInput<'a, R: BufRead> {
-    Live(&'a mut R),
-    Collected(CollectedItems),
-}
-
-/// One executed request, ready for its runtime to write out: the reply
+/// One executed request, ready for the reactor to write out: the reply
 /// bytes (TRACE line already inserted when requested) plus everything
 /// [`finish_after_write`] needs afterwards.
 pub(crate) struct Executed {
@@ -379,31 +273,23 @@ pub(crate) struct Executed {
     pub summary: Option<(&'static str, String)>,
     /// A `SHUTDOWN` was honoured: stop the daemon once the reply is out.
     pub shutting_down: bool,
-    /// An acked ingest: the runtime fires the `CRASH_AFTER_ACK` fault
+    /// An acked ingest: the reactor fires the `CRASH_AFTER_ACK` fault
     /// injection point right after the reply bytes leave the socket.
     pub ack_ingest: bool,
 }
 
-/// Executes one parsed request against the daemon state. The caller has
-/// already read and framed the request line, counted it
+/// Executes one parsed request against the daemon state, inline on the
+/// calling worker. The reactor has already framed the request line (and
+/// collected a batched request's `items`), counted it
 /// ([`ServerMetrics::record_request`]) and measured `parse_ns`; this
 /// renders the reply and the post-write bookkeeping packet.
-///
-/// Returns `Ok(None)` on hangup — the connection died (EOF or idle
-/// deadline) while the announced item lines of a batched request were
-/// being read; the caller closes without replying.
-///
-/// # Errors
-///
-/// Propagates only live item-line read failures (threads runtime); a
-/// pre-collected input never does I/O and never fails.
-pub(crate) fn execute_parsed<R: BufRead>(
+pub(crate) fn execute_parsed(
     ctx: &RequestContext,
     request: Result<Request, String>,
     started: Instant,
-    mut parse_ns: u64,
-    items_input: ItemsInput<'_, R>,
-) -> io::Result<Option<Executed>> {
+    parse_ns: u64,
+    items: CollectedItems,
+) -> Executed {
     let index = &*ctx.index;
     let wal = ctx.wal.as_deref();
     let metrics = &*ctx.metrics;
@@ -453,20 +339,9 @@ pub(crate) fn execute_parsed<R: BufRead>(
             }
         }
         Ok(Request::BatchIngest { count }) => {
-            let items_started = Instant::now();
-            let (items, charge) = match items_input {
-                ItemsInput::Live(reader) => {
-                    let mut collector =
-                        ItemCollector::new(count, &ctx.buffers, parse_batch_ingest_item);
-                    if !fill_collector(reader, metrics, &mut collector)? {
-                        return Ok(None);
-                    }
-                    collector.finish()
-                }
-                ItemsInput::Collected(CollectedItems::Batch(items, charge)) => (items, charge),
-                ItemsInput::Collected(_) => unreachable!("reactor collects per parsed verb"),
+            let CollectedItems::Batch(items, charge) = items else {
+                unreachable!("the reactor collects per parsed verb")
             };
-            parse_ns += span_ns(items_started);
             let reply = match items {
                 Items::Bad(message) => message,
                 Items::Parsed(items) => batch_ingest_reply(index, count, items, wal),
@@ -481,20 +356,10 @@ pub(crate) fn execute_parsed<R: BufRead>(
             timed = t;
             render_query_reply(&result)
         }
-        Ok(Request::MultiQuery { k, count, timed: t }) => {
-            let items_started = Instant::now();
-            let (items, charge) = match items_input {
-                ItemsInput::Live(reader) => {
-                    let mut collector = ItemCollector::new(count, &ctx.buffers, parse_mquery_item);
-                    if !fill_collector(reader, metrics, &mut collector)? {
-                        return Ok(None);
-                    }
-                    collector.finish()
-                }
-                ItemsInput::Collected(CollectedItems::Queries(items, charge)) => (items, charge),
-                ItemsInput::Collected(_) => unreachable!("reactor collects per parsed verb"),
+        Ok(Request::MultiQuery { k, count: _, timed: t }) => {
+            let CollectedItems::Queries(items, charge) = items else {
+                unreachable!("the reactor collects per parsed verb")
             };
-            parse_ns += span_ns(items_started);
             let reply = match items {
                 Items::Bad(message) => message,
                 Items::Parsed(traces) => {
@@ -604,7 +469,7 @@ pub(crate) fn execute_parsed<R: BufRead>(
     }
     let ack_ingest = reply.starts_with("OK")
         && matches!(slot.map(|s| VERB_NAMES[s]), Some("ingest" | "batch_ingest"));
-    Ok(Some(Executed {
+    Executed {
         reply,
         slot,
         started,
@@ -614,12 +479,12 @@ pub(crate) fn execute_parsed<R: BufRead>(
         summary,
         shutting_down,
         ack_ingest,
-    }))
+    }
 }
 
-/// Post-write bookkeeping, identical under every runtime: stage spans,
-/// the verb's total-latency histogram, and the slow-log entry. `reply_ns`
-/// is the measured write+flush span.
+/// Post-write bookkeeping: stage spans, the verb's total-latency
+/// histogram, and the slow-log entry. `reply_ns` is the measured
+/// write+flush span.
 pub(crate) fn finish_after_write(ctx: &RequestContext, done: &Executed, reply_ns: u64) {
     let metrics = &*ctx.metrics;
     let total_ns = span_ns(done.started);

@@ -1,14 +1,16 @@
-//! The hand-rolled epoll reactor runtime (Linux only).
+//! The hand-rolled epoll reactor: the serve daemon's only runtime
+//! (Linux only).
 //!
 //! One reactor thread owns every socket and an `epoll` instance; request
-//! execution — kernel scoring, WAL fsync waits, snapshot writes — runs on
-//! a small bounded worker pool. The contract that keeps tens of
-//! thousands of connections responsive is simple: **the reactor thread
-//! never blocks**. Not on `wait_durable`, not on `score_batch`, not on a
-//! slow peer's send buffer. Anything that can take real time is a job
-//! for the pool; the pool posts a completion and rings the
-//! [`EventFd`] wakeup, and the reactor — woken by epoll like for any
-//! other readiness — writes the reply out and re-arms the connection.
+//! execution — kernel scoring, WAL fsync waits, snapshot writes — runs
+//! inline on a small bounded worker pool, one request per worker at a
+//! time. The contract that keeps tens of thousands of connections
+//! responsive is simple: **the reactor thread never blocks**. Not on
+//! `wait_durable`, not on `score_batch`, not on a slow peer's send
+//! buffer. Anything that can take real time is a job for the pool; the
+//! pool posts a completion and rings the [`EventFd`] wakeup, and the
+//! reactor — woken by epoll like for any other readiness — writes the
+//! reply out and re-arms the connection.
 //!
 //! Each connection is a small state machine:
 //!
@@ -23,26 +25,25 @@
 //! ```
 //!
 //! * **framing** — bytes accumulate in a [`LineFramer`]; complete lines
-//!   come out with the same 1 MiB cap / UTF-8 / drain semantics as the
-//!   blocking reader.
+//!   come out with the 1 MiB cap, UTF-8 validation and over-long-line
+//!   draining of `read_line`.
 //! * **collecting** — a batched header's announced item lines feed the
-//!   shared [`ItemCollector`], preserving the exact error priority of
-//!   the threads runtime.
+//!   [`ItemCollector`].
 //! * **inflight** — the parsed request rides a [`Job`] to the worker
 //!   pool. While a request is in flight the reactor stops *consuming*
-//!   buffered bytes for this connection (one request at a time, as in
-//!   the threads runtime) but keeps the already-read bytes for
-//!   pipelining.
+//!   buffered bytes for this connection (one request at a time) but
+//!   keeps the already-read bytes for pipelining.
 //! * **writing** — the rendered reply sits in a per-connection write
 //!   buffer, drained as `EPOLLOUT` allows. A slow reader only fills its
 //!   own buffer (backpressure: reads stay paused until the reply is
 //!   out); other connections are unaffected.
 //!
-//! Governance is re-expressed reactor-side with identical wire behavior:
-//! `--max-connections` sheds at accept with `ERR busy
-//! reason=connections`, `--idle-timeout-secs` reaps connections that sit
-//! idle between requests (counted in `timeouts`), and over-long lines
-//! get `ERR line too long` with the remainder drained.
+//! Governance lives reactor-side: `--max-connections` sheds at accept
+//! with `ERR busy reason=connections`, `--idle-timeout-secs` reaps
+//! connections silent past the deadline with no request in flight and
+//! no reply to write — including ones that went quiet mid-line or
+//! mid-batch (counted in `timeouts`) — and over-long lines get `ERR line
+//! too long` with the remainder drained.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -60,7 +61,7 @@ use crate::protocol::{parse_batch_ingest_item, parse_request, FramedLine, LineFr
 
 use super::dispatch::{
     execute_parsed, finish_after_write, parse_mquery_item, span_ns, CollectedItems, Executed,
-    ItemCollector, ItemLine, ItemsInput, RequestContext,
+    ItemCollector, RequestContext,
 };
 use super::{sys, ServeState};
 
@@ -183,19 +184,13 @@ impl Drop for EventFd {
     }
 }
 
-/// Flips `O_NONBLOCK` on via `fcntl` — the reactor must never block in
-/// `read`/`write`/`accept`.
-fn set_nonblocking(fd: RawFd) -> io::Result<()> {
-    // SAFETY: F_GETFL takes no third argument.
-    let flags = unsafe { sys::fcntl(fd, sys::F_GETFL) };
-    if flags < 0 {
-        return Err(io::Error::last_os_error());
-    }
-    // SAFETY: F_SETFL takes an int argument.
-    if unsafe { sys::fcntl(fd, sys::F_SETFL, flags | sys::O_NONBLOCK) } < 0 {
-        return Err(io::Error::last_os_error());
-    }
-    Ok(())
+/// Per-socket setup at accept. Non-blocking, because the reactor must
+/// never block in `read`/`write`. `TCP_NODELAY`, because a reply written
+/// while the previous one is still unacked would otherwise sit in Nagle's
+/// buffer until the client's delayed ACK arrives.
+fn configure_accepted(stream: &TcpStream) -> io::Result<()> {
+    stream.set_nonblocking(true)?;
+    stream.set_nodelay(true)
 }
 
 /// One parsed request on its way to the worker pool.
@@ -239,12 +234,7 @@ fn worker_loop(ctx: RequestContext, shared: Arc<WorkerShared>) {
             }
         };
         let Job { token, request, started, parse_ns, items } = job;
-        // A pre-collected input does no I/O, so execution cannot fail and
-        // cannot hang up; the reader type is irrelevant (any BufRead do).
-        let executed =
-            execute_parsed::<&[u8]>(&ctx, request, started, parse_ns, ItemsInput::Collected(items))
-                .expect("collected input cannot fail I/O")
-                .expect("collected input cannot hang up");
+        let executed = execute_parsed(&ctx, request, started, parse_ns, items);
         shared
             .completions
             .lock()
@@ -269,7 +259,7 @@ enum PendingItems {
 }
 
 impl PendingItems {
-    fn push(&mut self, line: ItemLine) {
+    fn push(&mut self, line: FramedLine) {
         match self {
             PendingItems::Batch(collector) => collector.push(line),
             PendingItems::Queries(collector) => collector.push(line),
@@ -338,10 +328,11 @@ impl Conn {
         self.written < self.write_buf.len()
     }
 
-    /// Idle means reapable: between requests, nothing buffered, nothing
-    /// in flight, nothing to write.
+    /// Reapable once silent past the idle deadline: no request in flight
+    /// and no reply to write. A partial line in the framer or a batch
+    /// still collecting its items does not protect a silent peer.
     fn is_idle(&self) -> bool {
-        !self.inflight && !self.wants_write() && self.pending.is_none() && self.framer.is_empty()
+        !self.inflight && !self.wants_write()
     }
 }
 
@@ -365,7 +356,7 @@ impl Reactor {
         let epoll = EpollFd::new()?;
         let wake = Arc::new(EventFd::new()?);
         epoll.add(wake.0, sys::EPOLLIN, TOKEN_WAKE)?;
-        set_nonblocking(state.listener.as_raw_fd())?;
+        state.listener.set_nonblocking(true)?;
         epoll.add(state.listener.as_raw_fd(), sys::EPOLLIN, TOKEN_LISTENER)?;
         let ctx = RequestContext::of(&state);
         let shared = Arc::new(WorkerShared {
@@ -374,9 +365,10 @@ impl Reactor {
             completions: Mutex::new(Vec::new()),
             wake: Arc::clone(&wake),
         });
-        // Enough workers that one slow save cannot starve queries, few
-        // enough that kernel scoring (which itself fans out across
-        // scoped threads) is not oversubscribed.
+        // Every request runs inline on its worker, so the pool is the
+        // daemon's only parallelism: about one worker per core, at least
+        // two so that one slow save or fsync wait cannot starve queries,
+        // at most eight.
         let pool = std::thread::available_parallelism().map_or(2, |n| n.get()).clamp(2, 8);
         let workers = (0..pool)
             .map(|_| {
@@ -478,7 +470,7 @@ impl Reactor {
                 let _ = stream.flush();
                 continue;
             }
-            if set_nonblocking(stream.as_raw_fd()).is_err() {
+            if configure_accepted(&stream).is_err() {
                 continue; // cannot serve a socket that might block us
             }
             let token = self.next_token;
@@ -625,8 +617,7 @@ impl Reactor {
                         Ok(Some(line)) => Step::Line(line),
                         Ok(None) => Step::Empty,
                         Err(_) => {
-                            // Invalid UTF-8 is connection-fatal, exactly
-                            // as the blocking read_line treats it.
+                            // Invalid UTF-8 is connection-fatal.
                             self.close(token, Close::Gone);
                             return false;
                         }
@@ -652,10 +643,7 @@ impl Reactor {
         conn.last_activity = Instant::now();
         if let Some(mut pending) = conn.pending.take() {
             // Collecting a batched request's item lines.
-            pending.items.push(match line {
-                FramedLine::Full(line) => ItemLine::Full(line),
-                FramedLine::TooLong => ItemLine::TooLong,
-            });
+            pending.items.push(line);
             if pending.items.done() {
                 return self.dispatch_pending(token, pending);
             }
@@ -664,9 +652,8 @@ impl Reactor {
         }
         let line = match line {
             FramedLine::TooLong => {
-                // Same wire behavior as the threads runtime: a readable
-                // error, the remainder drained (the framer is draining
-                // already), the connection stays framed.
+                // A readable error, the remainder drained (the framer is
+                // draining already), the connection stays framed.
                 self.ctx.metrics.record_error();
                 conn.write_buf.extend_from_slice(b"ERR line too long\n");
                 return self.try_flush(token);
@@ -720,8 +707,8 @@ impl Reactor {
     }
 
     /// A batched request has all its item lines: hand it to the pool.
-    /// `parse_ns` covers header parse + item collection, matching the
-    /// threads runtime's `parse` stage span.
+    /// `parse_ns` covers header parse + item collection (the `parse`
+    /// stage span).
     fn dispatch_pending(&mut self, token: u64, pending: PendingBatch) -> bool {
         let PendingBatch { request, started, items } = pending;
         let parse_ns = span_ns(started);
@@ -883,8 +870,8 @@ impl Reactor {
         }
     }
 
-    /// Closes connections idle past the deadline (counted as timeouts,
-    /// like the blocking runtime's read deadline firing).
+    /// Closes connections silent past the deadline (counted as
+    /// timeouts).
     fn reap_idle(&mut self) {
         let Some(timeout) = self.idle_timeout else { return };
         let reap: Vec<u64> = self
@@ -907,5 +894,23 @@ impl Reactor {
             // Socket closes on drop; the buffer charge of a pending
             // batch (if any) releases on drop with it.
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accepted_sockets_are_nonblocking_with_nodelay() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        assert!(!accepted.nodelay().unwrap(), "sockets start with Nagle on");
+        configure_accepted(&accepted).unwrap();
+        assert!(accepted.nodelay().unwrap());
+        // Non-blocking: an empty receive buffer reads as WouldBlock.
+        let error = (&accepted).read(&mut [0_u8; 1]).unwrap_err();
+        assert_eq!(error.kind(), io::ErrorKind::WouldBlock);
     }
 }

@@ -1,36 +1,30 @@
-//! Pluggable serving runtimes behind one [`Runtime`] trait.
+//! The serve daemon's one execution model: a hand-rolled epoll reactor
+//! (Linux only) that owns every socket, plus a bounded worker pool that
+//! executes the requests.
 //!
-//! The serve daemon's protocol semantics (parsing, dispatch, replies,
-//! metrics, governance) live in the crate-private `dispatch` module and
-//! are runtime-agnostic;
-//! what varies is only how sockets are accepted, read and written. Two
-//! implementations exist, selected by `kastio serve --runtime`:
+//! * `epoll` — the reactor: non-blocking sockets driven through
+//!   per-connection state machines, with request execution handed to the
+//!   worker pool. It holds tens of thousands of idle connections in one
+//!   process, and its thread never blocks.
+//! * `dispatch` — the request core: everything between "a framed request
+//!   and its batched item lines arrived" and "these reply bytes leave,
+//!   then record latency".
+//! * `sys` — the raw `epoll`/`eventfd` prototypes the reactor calls (no
+//!   crates.io, so no `libc`).
 //!
-//! * [`ThreadsRuntime`] — the original thread-per-connection loop:
-//!   blocking I/O, one OS thread per client. Simple and robust, but it
-//!   tops out in the hundreds of concurrent clients (thread stacks and
-//!   scheduler pressure).
-//! * [`EpollRuntime`] — a hand-rolled single-threaded epoll reactor
-//!   (Linux only) driving non-blocking sockets through per-connection
-//!   state machines, with request execution on a bounded worker pool.
-//!   It holds tens of thousands of idle connections in one process.
-//!
-//! The split follows arti's `tor-rtcompat` model: callers hold a
-//! [`RuntimeKind`] (or a `&dyn Runtime`) and never see the difference —
-//! the wire protocol is byte-identical under both, which the conformance
-//! suite asserts by running against each.
+//! Every index method a request calls runs inline on the worker that
+//! executes it — a query never spawns threads — so the worker pool is the
+//! daemon's only source of parallelism.
 
 pub(crate) mod dispatch;
 #[cfg(target_os = "linux")]
 mod epoll;
 #[cfg(target_os = "linux")]
 mod sys;
-mod threads;
 
 use std::io;
-use std::net::{SocketAddr, TcpListener};
+use std::net::TcpListener;
 use std::path::PathBuf;
-use std::str::FromStr;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
@@ -42,17 +36,11 @@ use crate::index::PatternIndex;
 use crate::server::ServerMetrics;
 use crate::wal::WalManager;
 
-pub use threads::ThreadsRuntime;
-
-/// Everything a runtime needs to serve: the bound listener plus the
+/// Everything the reactor needs to serve: the bound listener plus the
 /// shared daemon state ([`crate::Server`] hands its fields over when
-/// `serve()` starts). Opaque outside the crate — runtimes are selected,
-/// not assembled, by callers.
-pub struct ServeState {
+/// `serve()` starts).
+pub(crate) struct ServeState {
     pub(crate) listener: TcpListener,
-    /// The listener's bound address (pre-resolved so runtimes need not
-    /// re-ask after moving the listener).
-    pub(crate) addr: SocketAddr,
     pub(crate) index: Arc<PatternIndex>,
     pub(crate) stop: Arc<AtomicBool>,
     pub(crate) save_dir: Option<PathBuf>,
@@ -68,124 +56,29 @@ pub struct ServeState {
     pub(crate) idle_timeout: Option<Duration>,
 }
 
-/// A serving strategy: owns the accept loop and all socket I/O, and runs
-/// every request through the shared dispatch core so the wire bytes are
-/// identical whichever implementation is serving.
+/// Serves connections on the reactor until a `SHUTDOWN` request (or the
+/// stop flag) fires, then returns the shared index so the caller can
+/// persist it.
 ///
-/// Implementations must honour the daemon's governance contract:
-/// `max_connections` sheds at accept with `ERR busy reason=connections`,
-/// `idle_timeout` closes silent connections and counts them, and the
-/// 1 MiB request-line cap answers `ERR line too long` while keeping the
-/// connection framed.
-pub trait Runtime: Send + Sync {
-    /// The `--runtime` name this implementation answers to.
-    fn name(&self) -> &'static str;
-
-    /// Serves connections until a `SHUTDOWN` request (or the stop flag)
-    /// fires, then returns the shared index so the caller can persist it.
-    ///
-    /// # Errors
-    ///
-    /// Implementation-specific setup failures (e.g. the reactor's
-    /// `epoll_create1`); after a successful start, runtimes treat
-    /// per-connection errors as that connection's problem, never the
-    /// daemon's.
-    fn serve(&self, state: ServeState) -> io::Result<Arc<PatternIndex>>;
+/// # Errors
+///
+/// Reactor setup failures (`epoll_create1`, `eventfd`, registering the
+/// listener); after a successful start, per-connection errors are that
+/// connection's problem, never the daemon's.
+#[cfg(target_os = "linux")]
+pub(crate) fn serve(state: ServeState) -> io::Result<Arc<PatternIndex>> {
+    epoll::serve(state)
 }
 
-/// The built-in runtime implementations, as selected by
-/// `kastio serve --runtime {threads|epoll}`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RuntimeKind {
-    /// Thread-per-connection with blocking I/O (the default).
-    #[default]
-    Threads,
-    /// Single-threaded epoll reactor with a bounded worker pool (Linux
-    /// only; selecting it elsewhere makes `serve()` fail with
-    /// [`io::ErrorKind::Unsupported`]).
-    Epoll,
-}
-
-impl RuntimeKind {
-    /// The `--runtime` spelling of this kind.
-    pub fn name(self) -> &'static str {
-        match self {
-            RuntimeKind::Threads => "threads",
-            RuntimeKind::Epoll => "epoll",
-        }
-    }
-
-    /// The implementation this kind selects.
-    pub fn runtime(self) -> &'static dyn Runtime {
-        match self {
-            RuntimeKind::Threads => &ThreadsRuntime,
-            RuntimeKind::Epoll => &EpollRuntime,
-        }
-    }
-}
-
-impl std::fmt::Display for RuntimeKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl FromStr for RuntimeKind {
-    type Err = String;
-
-    fn from_str(name: &str) -> Result<RuntimeKind, String> {
-        match name {
-            "threads" => Ok(RuntimeKind::Threads),
-            "epoll" => Ok(RuntimeKind::Epoll),
-            other => Err(format!("unknown runtime `{other}` (threads | epoll)")),
-        }
-    }
-}
-
-/// The epoll reactor runtime (the `runtime::epoll` module docs describe
-/// the state machine and wakeup path). On non-Linux
-/// targets the type still exists, so `--runtime epoll` parses everywhere
-/// and fails with a clear [`io::ErrorKind::Unsupported`] at serve time.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EpollRuntime;
-
-impl Runtime for EpollRuntime {
-    fn name(&self) -> &'static str {
-        "epoll"
-    }
-
-    #[cfg(target_os = "linux")]
-    fn serve(&self, state: ServeState) -> io::Result<Arc<PatternIndex>> {
-        epoll::serve(state)
-    }
-
-    #[cfg(not(target_os = "linux"))]
-    fn serve(&self, _state: ServeState) -> io::Result<Arc<PatternIndex>> {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "the epoll runtime requires Linux (use --runtime threads)",
-        ))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn runtime_kind_parses_its_own_names() {
-        assert_eq!("threads".parse::<RuntimeKind>().unwrap(), RuntimeKind::Threads);
-        assert_eq!("epoll".parse::<RuntimeKind>().unwrap(), RuntimeKind::Epoll);
-        assert_eq!(RuntimeKind::Threads.to_string(), "threads");
-        assert_eq!(RuntimeKind::Epoll.to_string(), "epoll");
-        assert_eq!(RuntimeKind::default(), RuntimeKind::Threads);
-        let err = "tokio".parse::<RuntimeKind>().unwrap_err();
-        assert!(err.contains("threads | epoll"), "{err}");
-    }
-
-    #[test]
-    fn kinds_select_matching_implementations() {
-        assert_eq!(RuntimeKind::Threads.runtime().name(), "threads");
-        assert_eq!(RuntimeKind::Epoll.runtime().name(), "epoll");
-    }
+/// Off Linux there is no reactor: `kastio serve` is Linux-only.
+///
+/// # Errors
+///
+/// Always [`io::ErrorKind::Unsupported`].
+#[cfg(not(target_os = "linux"))]
+pub(crate) fn serve(_state: ServeState) -> io::Result<Arc<PatternIndex>> {
+    Err(io::Error::new(
+        io::ErrorKind::Unsupported,
+        "kastio serve requires Linux (it runs on an epoll reactor)",
+    ))
 }

@@ -1,11 +1,12 @@
-//! Raw epoll/eventfd prototypes for the reactor runtime, dependency-free.
+//! Raw epoll/eventfd prototypes for the reactor, dependency-free.
 //!
 //! The build environment has no crates.io access, so there is no `libc`
 //! or `mio` to lean on. Following the pattern proven in
 //! [`crate::signal`], this module declares the handful of C symbols the
 //! reactor needs — `epoll_create1`, `epoll_ctl`, `epoll_wait`,
-//! `eventfd`, `fcntl`, plus the `read`/`write`/`close` trio for the
-//! wakeup fd — all already linked into every std binary on Linux.
+//! `eventfd`, plus the `read`/`write`/`close` trio for the wakeup fd —
+//! all already linked into every std binary on Linux. (Sockets go
+//! non-blocking through std's `set_nonblocking`.)
 //!
 //! The only layout-sensitive piece is [`EpollEvent`]: the kernel ABI
 //! packs `struct epoll_event` on x86-64 (glibc's `__EPOLL_PACKED`) and
@@ -29,10 +30,6 @@ pub const EPOLLHUP: u32 = 0x10;
 pub const EFD_CLOEXEC: c_int = 0o2000000;
 pub const EFD_NONBLOCK: c_int = 0o4000;
 
-pub const F_GETFL: c_int = 3;
-pub const F_SETFL: c_int = 4;
-pub const O_NONBLOCK: c_int = 0o4000;
-
 /// One readiness record, as `epoll_wait(2)` fills them in. `data` is the
 /// opaque token registered with `epoll_ctl(2)` — the reactor stores a
 /// connection id there and never a pointer, so no lifetime rides on the
@@ -55,7 +52,6 @@ extern "C" {
         timeout_ms: c_int,
     ) -> c_int;
     pub fn eventfd(initval: u32, flags: c_int) -> c_int;
-    pub fn fcntl(fd: c_int, cmd: c_int, ...) -> c_int;
     pub fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
     pub fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
     pub fn close(fd: c_int) -> c_int;

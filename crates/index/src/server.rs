@@ -1,23 +1,21 @@
 //! The `serve` daemon: a [`TcpListener`] bound around a [`PatternIndex`],
-//! served by a pluggable [`Runtime`](crate::runtime::Runtime).
+//! served by a hand-rolled epoll reactor (Linux only).
 //!
 //! Deliberately dependency-free (no async runtime — the build environment
 //! is offline). This module owns the daemon's *configuration* surface:
 //! the [`Server`] builder, the shared [`ServerMetrics`] counters, and the
-//! [`ShutdownHandle`]. The actual socket loops live in
-//! [`crate::runtime`] — thread-per-connection by default, or a
-//! hand-rolled epoll reactor on Linux (`--runtime epoll`) — and the
-//! runtime-agnostic protocol semantics in `crate::runtime::dispatch`, so
-//! the wire bytes are identical whichever runtime is serving.
+//! [`ShutdownHandle`]. The socket loop lives in the crate-private
+//! `runtime` module: one reactor thread owns every socket, and a bounded
+//! worker pool executes the requests.
 //!
 //! There is **no server-side lock**: the index is internally sharded and
-//! synchronised (see [`crate::index`]), so handlers share it behind a
+//! synchronised (see [`crate::index`]), so the workers share it behind a
 //! plain [`Arc`]. `QUERY`/`MQUERY` take shard *read* locks and run
 //! concurrently with each other; `INGEST`/`BATCH INGEST` write-lock only
 //! the shard that owns each new entry, so writers never stall queries on
-//! the other shards. Within a query the index additionally fans the
-//! kernel batch out across scoped threads, which is where the actual CPU
-//! time goes.
+//! the other shards. Each request runs inline on its worker — a query
+//! never spawns threads — so concurrent requests are the daemon's only
+//! parallelism.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -31,7 +29,7 @@ use kastio_quota::MemoryQuota;
 
 use crate::index::PatternIndex;
 use crate::protocol::{MetricsSnapshot, Request};
-use crate::runtime::{RuntimeKind, ServeState};
+use crate::runtime::{self, ServeState};
 use crate::wal::WalManager;
 
 /// Per-verb histogram slots, in [`MetricsSnapshot::verb_counts`] order.
@@ -76,8 +74,8 @@ pub(crate) fn verb_slot(request: &Request) -> usize {
     }
 }
 
-/// Live connection/request counters of a running daemon, shared by every
-/// handler thread and reported in the `STATS` reply.
+/// Live connection/request counters of a running daemon, shared by the
+/// reactor and its workers and reported in the `STATS` reply.
 ///
 /// Counters are plain relaxed atomics: they are observability data with
 /// no ordering relationship to the index's own synchronisation, so the
@@ -91,11 +89,11 @@ pub(crate) fn verb_slot(request: &Request) -> usize {
 /// reason=memory` replies (each one a client-visible shed, so the two
 /// tallies match exactly), `shed_connections` is connections refused at
 /// the accept loop with `ERR busy reason=connections`, and `timeouts` is
-/// connections closed by the `--idle-timeout-secs` read deadline.
+/// connections closed by the `--idle-timeout-secs` reaper.
 ///
 /// Latency is recorded into [`StripedHistogram`]s — one per verb for
-/// total request latency, one per pipeline stage — so concurrent handler
-/// threads rarely contend; `METRICS` and `STATS` merge the stripes into
+/// total request latency, one per pipeline stage — so concurrent threads
+/// rarely contend; `METRICS` and `STATS` merge the stripes into
 /// point-in-time [`Histogram`] snapshots.
 #[derive(Debug)]
 pub struct ServerMetrics {
@@ -108,7 +106,7 @@ pub struct ServerMetrics {
     shed_memory: AtomicU64,
     /// Connections refused at the accept loop (`--max-connections`).
     shed_connections: AtomicU64,
-    /// Connections closed by the idle-read deadline.
+    /// Connections closed by the idle reaper.
     timeouts: AtomicU64,
     verbs: [AtomicU64; VERB_NAMES.len()],
     /// Per-verb request latency (read → reply flushed), nanoseconds.
@@ -259,7 +257,7 @@ impl ServerMetrics {
 /// will serve.
 ///
 /// Binding is separated from serving so callers can learn the actual
-/// address before the blocking accept loop starts — essential with an
+/// address before the serving loop starts — essential with an
 /// ephemeral port (`:0`), which is how the integration tests and the
 /// in-process example run.
 ///
@@ -289,17 +287,19 @@ pub struct Server {
     quota: MemoryQuota,
     max_connections: usize,
     idle_timeout: Option<Duration>,
-    runtime: RuntimeKind,
 }
 
 /// Default `--max-connections`: generous enough that only a runaway
-/// client fleet (or a fd leak) ever hits it, small enough that the
-/// thread-per-connection model cannot be driven into thread exhaustion.
+/// client fleet (or a fd leak) ever hits it, small enough that a default
+/// daemon stays within the common 1024-descriptor `ulimit -n` soft limit
+/// instead of failing accepts with `EMFILE`. Idle connections are cheap
+/// for the reactor, so raising the cap is a file-descriptor question,
+/// not a memory one.
 pub const DEFAULT_MAX_CONNECTIONS: usize = 1024;
 
 /// A clonable handle that stops a running [`Server::serve`] loop from
 /// another thread — the signal monitor uses one to turn `SIGTERM` into
-/// the same clean shutdown a `SHUTDOWN` request performs (handlers
+/// the same clean shutdown a `SHUTDOWN` request performs (workers
 /// joined, corpus intact and saveable).
 #[derive(Debug, Clone)]
 pub struct ShutdownHandle {
@@ -335,17 +335,7 @@ impl Server {
             quota: MemoryQuota::unlimited(),
             max_connections: DEFAULT_MAX_CONNECTIONS,
             idle_timeout: None,
-            runtime: RuntimeKind::default(),
         })
-    }
-
-    /// Selects the serving runtime (default [`RuntimeKind::Threads`]).
-    /// The wire protocol is byte-identical under every runtime; what
-    /// changes is the concurrency model — see [`crate::runtime`].
-    #[must_use]
-    pub fn with_runtime(mut self, runtime: RuntimeKind) -> Server {
-        self.runtime = runtime;
-        self
     }
 
     /// Attaches a memory budget of `limit` bytes (`None`: unlimited, the
@@ -366,18 +356,19 @@ impl Server {
     /// Caps concurrently served connections (default
     /// [`DEFAULT_MAX_CONNECTIONS`]). Past the cap the accept loop sheds:
     /// it replies `ERR busy reason=connections` and closes the socket
-    /// *without* spawning a handler thread, so overload cannot exhaust
-    /// threads or memory. Clamped to at least 1.
+    /// *without* registering it with the reactor, so overload cannot
+    /// exhaust file descriptors or memory. Clamped to at least 1.
     #[must_use]
     pub fn with_max_connections(mut self, max: usize) -> Server {
         self.max_connections = max.max(1);
         self
     }
 
-    /// Arms a per-connection read deadline (`None`, the default, waits
-    /// forever). A connection idle past the deadline is closed and
-    /// counted in the `timeouts` counter, so abandoned sockets release
-    /// their threads and registry slots.
+    /// Arms the idle reaper (`None`, the default, waits forever). A
+    /// connection silent past the deadline with no request in flight and
+    /// no reply to write — even one that stopped mid-line or mid-batch —
+    /// is closed and counted in the `timeouts` counter, so abandoned
+    /// sockets release their connection slots and buffered bytes.
     #[must_use]
     pub fn with_idle_timeout(mut self, timeout: Option<Duration>) -> Server {
         self.idle_timeout = timeout;
@@ -458,32 +449,27 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// Serves connections on the selected runtime until a client sends
+    /// Serves connections on the epoll reactor until a client sends
     /// `SHUTDOWN` (or a [`ShutdownHandle`] fires), then returns the
     /// shared index (so the caller can persist it or inspect its
     /// [`crate::index::SnapshotStatus`]).
     ///
     /// Accept errors are treated as transient (EMFILE under fd pressure,
-    /// ECONNABORTED, …): runtimes back off briefly and retry, so the
-    /// in-memory corpus is never lost to a hiccup. Only a long unbroken
-    /// run of failures abandons accepting — and even then the index is
-    /// returned intact so the caller's save path still runs.
+    /// ECONNABORTED, …): the reactor backs off briefly and retries, so
+    /// the in-memory corpus is never lost to a hiccup.
     ///
     /// # Errors
     ///
-    /// Runtime setup failures only — the epoll runtime can fail to build
-    /// its reactor (`epoll_create1`, `eventfd`) or is simply
-    /// [`io::ErrorKind::Unsupported`] off Linux; the threads runtime
-    /// never fails after a successful bind.
+    /// Reactor setup failures only (`epoll_create1`, `eventfd`,
+    /// registering the listener). Off Linux, always
+    /// [`io::ErrorKind::Unsupported`]: the daemon is Linux-only.
     pub fn serve(self) -> io::Result<Arc<PatternIndex>> {
-        let addr = self.listener.local_addr()?;
         // One account for every connection's in-flight request buffers:
         // admission is against the *root* budget anyway, and a shared
         // account keeps the STATS story simple.
         let buffers = self.quota.account("buffers");
         let state = ServeState {
             listener: self.listener,
-            addr,
             index: self.index,
             stop: self.stop,
             save_dir: self.save_dir,
@@ -495,7 +481,7 @@ impl Server {
             max_connections: self.max_connections,
             idle_timeout: self.idle_timeout,
         };
-        self.runtime.runtime().serve(state)
+        runtime::serve(state)
     }
 }
 
@@ -505,20 +491,8 @@ mod tests {
     use crate::index::IndexOptions;
     use std::io::{BufRead, BufReader, Write};
 
-    /// The runtime this test process exercises: `threads` by default,
-    /// overridden by `KASTIO_TEST_RUNTIME=epoll` so CI can run the whole
-    /// suite — byte for byte the same assertions — against the reactor.
-    fn test_runtime() -> RuntimeKind {
-        match std::env::var("KASTIO_TEST_RUNTIME") {
-            Ok(name) => name.parse().expect("valid KASTIO_TEST_RUNTIME"),
-            Err(_) => RuntimeKind::default(),
-        }
-    }
-
     fn start_with(opts: IndexOptions) -> (SocketAddr, std::thread::JoinHandle<Arc<PatternIndex>>) {
-        let server = Server::bind("127.0.0.1:0", PatternIndex::new(opts))
-            .unwrap()
-            .with_runtime(test_runtime());
+        let server = Server::bind("127.0.0.1:0", PatternIndex::new(opts)).unwrap();
         let addr = server.local_addr().unwrap();
         let handle = std::thread::spawn(move || server.serve().expect("server runs"));
         (addr, handle)
@@ -534,11 +508,7 @@ mod tests {
         opts: IndexOptions,
         configure: impl FnOnce(Server) -> Server,
     ) -> (SocketAddr, std::thread::JoinHandle<Arc<PatternIndex>>) {
-        let server = configure(
-            Server::bind("127.0.0.1:0", PatternIndex::new(opts))
-                .unwrap()
-                .with_runtime(test_runtime()),
-        );
+        let server = configure(Server::bind("127.0.0.1:0", PatternIndex::new(opts)).unwrap());
         let addr = server.local_addr().unwrap();
         let handle = std::thread::spawn(move || server.serve().expect("server runs"));
         (addr, handle)
@@ -795,8 +765,8 @@ mod tests {
         let (addr, handle) =
             start_configured(IndexOptions::default(), |s| s.with_max_connections(1));
         let mut first = TcpStream::connect(addr).unwrap();
-        // Roundtrip guarantees the first handler thread is registered
-        // before the second connection races the accept loop.
+        // Roundtrip guarantees the first connection is registered before
+        // the second one races the accept loop.
         let reply = roundtrip(&mut first, "INGEST w h0 write 64\n");
         assert!(reply.starts_with("OK id=0"), "{reply}");
 
@@ -823,15 +793,23 @@ mod tests {
         let (addr, handle) = start_configured(IndexOptions::default(), |s| {
             s.with_idle_timeout(Some(Duration::from_millis(50)))
         });
-        let idle = TcpStream::connect(addr).unwrap();
-        let mut reader = BufReader::new(idle);
-        // Say nothing: the server must hang up on us, not the reverse.
-        let mut line = String::new();
-        assert_eq!(reader.read_line(&mut line).unwrap(), 0, "{line}");
+        // Three clients go quiet: one says nothing, one stops mid-line,
+        // one stops mid-batch (the header and one of three items). The
+        // server must hang up on each of them, not the reverse; the
+        // client read timeout turns a missed reap into a failure instead
+        // of a hang.
+        for wire in ["", "QUERY k=1 h0 write 64", "BATCH INGEST 3\nw h0 write 64\n"] {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream.set_read_timeout(Some(Duration::from_secs(3))).unwrap();
+            stream.write_all(wire.as_bytes()).unwrap();
+            let mut reader = BufReader::new(stream);
+            let mut line = String::new();
+            assert_eq!(reader.read_line(&mut line).unwrap(), 0, "after {wire:?}: {line}");
+        }
 
         let mut fresh = TcpStream::connect(addr).unwrap();
         let stats = roundtrip(&mut fresh, "STATS\n");
-        assert_eq!(stat_value(&stats, "timeouts"), 1);
+        assert_eq!(stat_value(&stats, "timeouts"), 3);
         assert_eq!(roundtrip(&mut fresh, "SHUTDOWN\n"), "OK bye\n");
         handle.join().unwrap();
     }
@@ -886,7 +864,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let server = Server::bind("127.0.0.1:0", PatternIndex::new(IndexOptions::default()))
             .unwrap()
-            .with_runtime(test_runtime())
             .with_save_dir(Some(dir.clone()));
         let addr = server.local_addr().unwrap();
         let handle = std::thread::spawn(move || server.serve().expect("server runs"));
@@ -921,7 +898,6 @@ mod tests {
         // fails with a real IO error even when running as root.
         let server = Server::bind("127.0.0.1:0", PatternIndex::new(IndexOptions::default()))
             .unwrap()
-            .with_runtime(test_runtime())
             .with_save_dir(Some(std::path::PathBuf::from("/dev/null/corpus")));
         let addr = server.local_addr().unwrap();
         let handle = std::thread::spawn(move || server.serve().expect("server runs"));
@@ -942,9 +918,8 @@ mod tests {
     #[test]
     fn shutdown_handle_stops_the_server_without_a_client() {
         let (addr, handle, shutdown) = {
-            let server = Server::bind("127.0.0.1:0", PatternIndex::new(IndexOptions::default()))
-                .unwrap()
-                .with_runtime(test_runtime());
+            let server =
+                Server::bind("127.0.0.1:0", PatternIndex::new(IndexOptions::default())).unwrap();
             let addr = server.local_addr().unwrap();
             let shutdown = server.shutdown_handle().unwrap();
             let handle = std::thread::spawn(move || server.serve().expect("server runs"));
@@ -987,9 +962,8 @@ mod tests {
 
     #[test]
     fn stats_reports_connection_and_verb_counters() {
-        let server = Server::bind("127.0.0.1:0", PatternIndex::new(IndexOptions::default()))
-            .unwrap()
-            .with_runtime(test_runtime());
+        let server =
+            Server::bind("127.0.0.1:0", PatternIndex::new(IndexOptions::default())).unwrap();
         let addr = server.local_addr().unwrap();
         let metrics = server.metrics();
         let handle = std::thread::spawn(move || server.serve().expect("server runs"));
@@ -1097,7 +1071,6 @@ mod tests {
         // Threshold 0 logs everything — the deterministic test hook.
         let server = Server::bind("127.0.0.1:0", PatternIndex::new(IndexOptions::default()))
             .unwrap()
-            .with_runtime(test_runtime())
             .with_slow_log(Some(0));
         let addr = server.local_addr().unwrap();
         let handle = std::thread::spawn(move || server.serve().expect("server runs"));

@@ -171,7 +171,7 @@ where
     if n == 0 {
         return matrix;
     }
-    let threads = effective_threads(threads, n);
+    let threads = worker_count(threads, n);
     // Memoised diagonal: in normalised mode every pair shares the n
     // self-kernels instead of recomputing them per entry (O(n) instead of
     // O(n²) self-kernel evaluations).
@@ -253,7 +253,7 @@ where
     diag
 }
 
-fn effective_threads(requested: usize, n: usize) -> usize {
+fn worker_count(requested: usize, n: usize) -> usize {
     let available = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
     let t = if requested == 0 { available } else { requested };
     t.clamp(1, n.max(1))

@@ -11,7 +11,6 @@
 //!                 [--cut N] [--ignore-bytes] [--candidates N]
 //!                 [--slow-query-micros N] [--max-memory-bytes N]
 //!                 [--max-connections N] [--idle-timeout-secs N]
-//!                 [--runtime threads|epoll]
 //! kastio query    <addr> <trace-file> [--k N]
 //! kastio query    <addr> --stats
 //! kastio query    <addr> --snapshot
@@ -28,9 +27,9 @@
 //! (plus a MANIFEST); `cluster` reads any directory in that layout,
 //! builds the Kast similarity matrix, repairs it and prints the flat
 //! clustering with purity/ARI against the manifest categories. `serve`
-//! keeps a corpus in memory behind a TCP line protocol and `query` is its
-//! client — see the `kastio_index` crate. `loadgen` drives seeded,
-//! reproducible request mixes against the daemon (self-spawned unless
+//! (Linux only) keeps a corpus in memory behind a TCP line protocol and
+//! `query` is its client — see the `kastio_index` crate. `loadgen`
+//! drives seeded, reproducible request mixes against the daemon (self-spawned unless
 //! `--addr` points at one) and writes per-verb throughput/latency —
 //! client-side and, via `METRICS` scrapes, server-side — plus STATS
 //! deltas to `BENCH_serve.json`; `bench-diff` compares two such
@@ -64,7 +63,6 @@ usage:
                   [--cut N] [--ignore-bytes] [--candidates N]
                   [--slow-query-micros N] [--max-memory-bytes N]
                   [--max-connections N] [--idle-timeout-secs N]
-                  [--runtime threads|epoll]
   kastio query    <addr> <trace-file> [--k N]
   kastio query    <addr> --stats
   kastio query    <addr> --snapshot
@@ -113,45 +111,44 @@ const HELP_TOPICS: &[(&str, &str)] = &[
          \u{20}            [--wal] [--wal-sync-micros N] [--snapshot-every <secs>]\n\
          \u{20}            [--cut N] [--ignore-bytes] [--candidates N]\n\
          \u{20}            [--slow-query-micros N] [--max-memory-bytes N]\n\
-         \u{20}            [--max-connections N] [--idle-timeout-secs N]\n\
-         \u{20}            [--runtime threads|epoll]\n\n\
+         \u{20}            [--max-connections N] [--idle-timeout-secs N]\n\n\
          Starts the online index daemon on 127.0.0.1:<port> (default 7878;\n\
-         0 picks an ephemeral port). Prints `listening on <addr>` once\n\
-         bound. --shards splits the corpus across N read-concurrent\n\
-         shards (default 4): queries take shard read locks and run in\n\
-         parallel, ingests write-lock only the owning shard. --corpus\n\
-         preloads a dataset/index directory; --save makes the daemon\n\
-         durable: the corpus is snapshotted atomically to that directory\n\
-         on SHUTDOWN, on SAVE requests, on SIGTERM/SIGINT, and (with\n\
-         --snapshot-every N) every N seconds in the background while\n\
-         queries keep flowing (idle cycles are skipped). A failed final\n\
-         save exits non-zero. --wal (requires --save) adds a per-shard\n\
-         write-ahead log under <save-dir>/wal: every INGEST/BATCH INGEST\n\
-         is fsync'd (group commit every --wal-sync-micros microseconds,\n\
-         default 2000) before its OK reply, so an acked ingest survives\n\
-         kill -9; snapshots compact the log and restarts recover as\n\
-         last snapshot + WAL replay (point --corpus at the save dir). --candidates floors the signature-prefilter\n\
-         budget. --slow-query-micros enables the slow-query log: requests\n\
-         slower than N microseconds end-to-end are kept in a bounded\n\
-         in-memory ring (newest 128) readable over SLOWLOG. The daemon\n\
-         always records per-verb and per-stage latency histograms,\n\
-         exposed by METRICS (Prometheus text format) and summarised as\n\
-         p50/p95/p99 in STATS. --max-memory-bytes puts the corpus,\n\
-         kernel cache and in-flight request buffers under one byte\n\
-         budget: the cache is reclaimed under pressure and ingests that\n\
-         would exceed the budget are shed with `ERR busy reason=memory`\n\
-         (the connection stays open; reads keep working). Default:\n\
-         unlimited. --max-connections (default 1024) sheds connections\n\
-         beyond the cap with `ERR busy reason=connections` before a\n\
-         handler thread is spawned. --idle-timeout-secs closes\n\
-         connections silent for N seconds (default: never). Every shed,\n\
-         reclaim and timeout is counted in STATS and METRICS.\n\
-         --runtime selects the serving strategy: `threads` (default,\n\
-         one blocking OS thread per connection) or `epoll` (Linux only,\n\
-         a single-threaded reactor over non-blocking sockets with a\n\
-         bounded worker pool — holds tens of thousands of idle\n\
-         connections); the wire protocol is byte-identical under both.\n\
-         The protocol is line based (full spec in docs/PROTOCOL.md):\n\n\
+         0 picks an ephemeral port). Linux only. Prints `listening on\n\
+         <addr>` once bound. One epoll reactor thread owns every\n\
+         connection, and a bounded pool of workers (one per core, 2 to\n\
+         8) runs each request inline: concurrent requests are the\n\
+         daemon's only parallelism. --shards splits the corpus across N\n\
+         read-concurrent shards (default 4): queries take shard read\n\
+         locks and run in parallel, ingests write-lock only the owning\n\
+         shard. --corpus preloads a dataset/index directory; --save\n\
+         makes the daemon durable: the corpus is snapshotted atomically\n\
+         to that directory on SHUTDOWN, on SAVE requests, on\n\
+         SIGTERM/SIGINT, and (with --snapshot-every N) every N seconds\n\
+         in the background while queries keep flowing (idle cycles are\n\
+         skipped). A failed final save exits non-zero. --wal (requires\n\
+         --save) adds a per-shard write-ahead log under <save-dir>/wal:\n\
+         every INGEST/BATCH INGEST is fsync'd (group commit every\n\
+         --wal-sync-micros microseconds, default 2000) before its OK\n\
+         reply, so an acked ingest survives kill -9; snapshots compact\n\
+         the log and restarts recover as last snapshot + WAL replay\n\
+         (point --corpus at the save dir). --candidates floors the\n\
+         signature-prefilter budget. --slow-query-micros enables the\n\
+         slow-query log: requests slower than N microseconds end-to-end\n\
+         are kept in a bounded in-memory ring (newest 128) readable over\n\
+         SLOWLOG. The daemon always records per-verb and per-stage\n\
+         latency histograms, exposed by METRICS (Prometheus text format)\n\
+         and summarised as p50/p95/p99 in STATS. --max-memory-bytes puts\n\
+         the corpus, kernel cache and in-flight request buffers under\n\
+         one byte budget: the cache is reclaimed under pressure and\n\
+         ingests that would exceed the budget are shed with `ERR busy\n\
+         reason=memory` (the connection stays open; reads keep working).\n\
+         Default: unlimited. --max-connections (default 1024) sheds\n\
+         connections beyond the cap at accept with `ERR busy\n\
+         reason=connections`. --idle-timeout-secs closes connections\n\
+         silent for N seconds with no request in flight, even mid-line\n\
+         or mid-batch (default: never). Every shed, reclaim and timeout\n\
+         is counted in STATS and METRICS. The protocol is line based\n\
+         (full spec in docs/PROTOCOL.md):\n\n\
          \u{20} HELLO <proto-version> [client]\n\
          \u{20} INGEST <label> <op>;<op>;...\n\
          \u{20} BATCH INGEST <count>   (then <count> `<label> <trace>` lines)\n\
@@ -238,7 +235,6 @@ struct Flags {
     max_connections: Option<usize>,
     idle_timeout_secs: Option<u64>,
     duration: Duration,
-    runtime: Option<String>,
     scenario: Option<String>,
     addr: Option<String>,
     out: Option<String>,
@@ -288,7 +284,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         max_connections: None,
         idle_timeout_secs: None,
         duration: Duration::from_secs(2),
-        runtime: None,
         scenario: None,
         addr: None,
         out: None,
@@ -314,11 +309,10 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                 let value = it.next().ok_or_else(|| format!("{arg} needs a value"))?;
                 flags.duration = parse_duration(value)?;
             }
-            "--corpus" | "--save" | "--runtime" | "--scenario" | "--addr" | "--out" => {
+            "--corpus" | "--save" | "--scenario" | "--addr" | "--out" => {
                 let value = it.next().ok_or_else(|| format!("{arg} needs a value"))?;
                 match arg.as_str() {
                     "--corpus" => flags.corpus = Some(value.clone()),
-                    "--runtime" => flags.runtime = Some(value.clone()),
                     "--scenario" => flags.scenario = Some(value.clone()),
                     "--addr" => flags.addr = Some(value.clone()),
                     "--out" => flags.out = Some(value.clone()),
@@ -534,14 +528,8 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         _ => None,
     };
 
-    let runtime = match &flags.runtime {
-        Some(name) => name.parse::<kastio::RuntimeKind>()?,
-        None => kastio::RuntimeKind::default(),
-    };
-
     let mut server = Server::bind(&format!("127.0.0.1:{}", flags.port), index)
         .map_err(|e| format!("cannot bind 127.0.0.1:{}: {e}", flags.port))?
-        .with_runtime(runtime)
         .with_save_dir(save_dir.clone())
         .with_wal(wal.clone())
         .with_slow_log(flags.slow_query_micros)

@@ -86,8 +86,8 @@ pub use kastio_core::{
 pub use kastio_index::{
     load_index, save_index, save_index_if_changed, save_index_if_changed_wal, save_index_wal,
     watch_termination, IndexOptions, IndexStats, IngestError, Neighbor, PatternIndex,
-    PrefilterConfig, QueryResult, Runtime, RuntimeKind, Server, ShutdownHandle, SignalWatcher,
-    SnapshotInfo, SnapshotStatus, Snapshotter, TermSignal, WalManager,
+    PrefilterConfig, QueryResult, Server, ShutdownHandle, SignalWatcher, SnapshotInfo,
+    SnapshotStatus, Snapshotter, TermSignal, WalManager,
 };
 pub use kastio_kernels::{
     gram_matrix, BagOfTokensKernel, BagOfWordsKernel, BlendedSpectrumKernel, GramMode,

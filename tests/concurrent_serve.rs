@@ -30,20 +30,9 @@ impl Drop for ServerGuard {
     }
 }
 
-/// The runtime under test: `KASTIO_TEST_RUNTIME=epoll` re-runs this whole
-/// suite against the epoll reactor — concurrency behaviour and reply
-/// bytes must match the threads runtime exactly.
-fn runtime_args() -> Vec<String> {
-    match std::env::var("KASTIO_TEST_RUNTIME") {
-        Ok(name) => vec!["--runtime".to_string(), name],
-        Err(_) => Vec::new(),
-    }
-}
-
 fn start_server(extra_args: &[&str]) -> ServerGuard {
     let mut child = Command::new(env!("CARGO_BIN_EXE_kastio"))
         .args(["serve", "--port", "0"])
-        .args(runtime_args())
         .args(extra_args)
         .stdout(Stdio::piped())
         .stderr(Stdio::null())

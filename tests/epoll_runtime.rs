@@ -1,12 +1,10 @@
-//! Reactor edge cases, pinned to `--runtime epoll` (the suite is
-//! Linux-only, like the runtime): maximal TCP fragmentation, pipelined
-//! bursts, half-close with a trailing partial line, idle-connection
-//! reaping, and a slow reader whose backed-up replies must not stall
-//! anyone else. The generic conformance and concurrent-serve suites also
-//! run against epoll via `KASTIO_TEST_RUNTIME`; this file holds the
-//! cases that specifically stress the reactor's state machine
-//! (`LineFramer` reassembly, write buffering with paused reads,
-//! timer-tick reaping) rather than the protocol.
+//! Reactor edge cases (the suite is Linux-only, like the daemon): maximal
+//! TCP fragmentation, pipelined bursts, half-close with a trailing
+//! partial line, idle-connection reaping, and a slow reader whose
+//! backed-up replies must not stall anyone else. The conformance and
+//! concurrent-serve suites cover the protocol; this file holds the cases
+//! that specifically stress the reactor's state machine (`LineFramer`
+//! reassembly, write buffering with paused reads, timer-tick reaping).
 #![cfg(target_os = "linux")]
 
 use std::io::{BufRead, BufReader, Write};
@@ -31,7 +29,7 @@ impl Drop for ServerGuard {
 
 fn start_epoll_server(extra_args: &[&str]) -> ServerGuard {
     let mut child = Command::new(env!("CARGO_BIN_EXE_kastio"))
-        .args(["serve", "--port", "0", "--runtime", "epoll"])
+        .args(["serve", "--port", "0"])
         .args(extra_args)
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
