@@ -17,9 +17,9 @@
 //!   which proves the covering fsync happened *before* the ack.
 //! * `mid-record` — halfway through appending a WAL record (the torn
 //!   half is fsync'd first so the tail really is torn on disk).
-//! * `after-snapshot-rename-before-truncate` — between the snapshot swap
-//!   and the WAL compaction, leaving a full stale WAL over a fresh
-//!   snapshot. Recovery must replay idempotently.
+//! * `after-snapshot-rename-before-truncate` — between the snapshot
+//!   file's durable rename and the WAL compaction, leaving a full stale
+//!   WAL over a fresh snapshot. Recovery must replay idempotently.
 //!
 //! In production (no env var) every check is a single lazily-initialised
 //! `Option` test — no syscalls, no branches on the hot path beyond one

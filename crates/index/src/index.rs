@@ -28,7 +28,7 @@
 //!
 //! An entry with [`EntryId`] `i` always lives in shard `i % S`. Ids are
 //! allocated from a monotonic counter in ingestion order, so a corpus
-//! saved with [`crate::save_index`] and reloaded with the same entry order
+//! saved with [`crate::save_index_wal`] and reloaded with the same entry order
 //! lands every entry in the same shard again — placement is a pure
 //! function of ingestion order and shard count, never of timing.
 //!
@@ -156,24 +156,26 @@ impl SharedStats {
 }
 
 /// Why an entry was rejected at ingestion: its name or label cannot
-/// survive the persistence round trip (`<name>.trace` files plus a
-/// whitespace-delimited `<name> <label>` manifest line), so accepting it
-/// would poison every later [`crate::save_index`] of the whole corpus.
+/// survive the persistence round trip (the whitespace-delimited
+/// `<id> <name> <label>` header of a snapshot record, and `<name>.trace`
+/// files plus a `<name> <label>` manifest line in a corpus directory), so
+/// accepting it would poison every later [`crate::save_index_wal`] of the
+/// whole corpus.
 ///
 /// Validation happens *at ingest* — not at save time — so a `--save`
 /// daemon can never accumulate an entry whose *format* makes its final
 /// snapshot fail and lose everything else with it. The guarantee is
-/// format-level: environmental limits (a filesystem's file-name length
-/// cap on an extreme library-supplied name, disk space, permissions)
-/// still surface at save time — loudly (wire `ERR`, `STATS` counters,
+/// format-level: environmental limits (disk space, permissions, a trace
+/// too large for one snapshot record) still surface at save time — loudly (wire `ERR`, `STATS` counters,
 /// non-zero daemon exit) and with the previous snapshot left intact.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IngestError {
     /// The entry name is empty, contains whitespace or a path separator,
-    /// or starts with a dot (names become file names on disk).
+    /// or starts with a dot (names become file names in a corpus
+    /// directory).
     InvalidName(String),
-    /// The label is empty or contains whitespace (the manifest line
-    /// format is whitespace-delimited).
+    /// The label is empty or contains whitespace (snapshot record headers
+    /// and manifest lines are whitespace-delimited).
     InvalidLabel(String),
     /// Admitting the entry would push the corpus past the attached memory
     /// budget (see [`PatternIndex::attach_quota`]). Transient, not a
@@ -205,14 +207,14 @@ impl std::fmt::Display for IngestError {
 
 impl std::error::Error for IngestError {}
 
-/// Health of the index's persistence, maintained by [`crate::save_index`]
+/// Health of the index's persistence, maintained by [`crate::save_index_wal`]
 /// and reported over the wire by `STATS`.
 ///
 /// `last_ok == None` means no snapshot has been attempted yet.
 /// `last_generation`/`last_entries` describe the most recent *successful*
 /// snapshot; comparing `last_generation` with [`PatternIndex::generation`]
 /// tells whether the on-disk snapshot is current (the skip test
-/// [`crate::save_index_if_changed`] performs).
+/// [`crate::save_index_if_changed_wal`] performs).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SnapshotStatus {
     /// Successful snapshots so far.
@@ -233,8 +235,8 @@ pub struct SnapshotStatus {
     /// microseconds (0 until one succeeds) — makes `--snapshot-every`
     /// stalls visible through `STATS`/`METRICS`.
     pub last_duration_micros: u64,
-    /// Bytes written by the last successful snapshot (trace files plus
-    /// the manifest).
+    /// Bytes written by the last successful snapshot: the length of its
+    /// snapshot file.
     pub last_bytes: u64,
     /// WAL records appended since startup. Maintained live by the
     /// serving layer (overlaid from [`crate::WalManager`] into the copy
@@ -397,7 +399,7 @@ pub struct PatternIndex {
     /// never waits on a save's disk I/O.
     snapshot: Mutex<SnapshotStatus>,
     /// Serialises whole saves (periodic snapshotter vs `SAVE` vs
-    /// shutdown) so their directory swaps cannot interleave. Separate
+    /// shutdown) so their writes and compactions cannot interleave. Separate
     /// from the status mutex above on purpose.
     save_lock: Mutex<()>,
 }
@@ -550,7 +552,7 @@ impl PatternIndex {
     }
 
     /// Snapshot health: attempt counters and what the last successful
-    /// snapshot covered. Maintained by [`crate::save_index`]. Never
+    /// snapshot covered. Maintained by [`crate::save_index_wal`]. Never
     /// blocks on an in-flight save (the status has its own short-lived
     /// lock), so `STATS` stays responsive while a snapshot writes.
     pub fn snapshot_status(&self) -> SnapshotStatus {
@@ -563,9 +565,9 @@ impl PatternIndex {
         self.snapshot.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// The save serialisation lock: [`crate::save_index`] holds it for
-    /// the whole temp-dir-write plus rename dance so two concurrent
-    /// saves cannot interleave their directory swaps.
+    /// The save serialisation lock: [`crate::save_index_wal`] holds it
+    /// for the whole write, rename and compaction, so two concurrent
+    /// saves cannot interleave.
     pub(crate) fn lock_save(&self) -> MutexGuard<'_, ()> {
         self.save_lock.lock().unwrap_or_else(|p| p.into_inner())
     }
@@ -661,14 +663,15 @@ impl PatternIndex {
     /// Only the owning shard is write-locked, and only for the final
     /// insertion — queries touching other shards proceed undisturbed.
     ///
-    /// Names should be unique within an index — persistence writes one
-    /// file per name, and later duplicates overwrite earlier ones there.
+    /// Names should be unique within an index — a corpus-directory
+    /// export writes one file per name, and later duplicates overwrite
+    /// earlier ones there.
     ///
     /// # Errors
     ///
     /// [`IngestError`] when the name or label could not survive the
     /// persistence round trip (whitespace, path separators, …); rejecting
-    /// such entries *here* keeps every later [`crate::save_index`] of the
+    /// such entries *here* keeps every later [`crate::save_index_wal`] of the
     /// corpus saveable. With a quota attached,
     /// [`IngestError::OverMemoryBudget`] when the entry's footprint no
     /// longer fits the budget. Validation and admission both happen

@@ -35,21 +35,25 @@
 //! which pairs are evaluated, how often and where the entries live,
 //! never the arithmetic.
 //!
-//! [`persist`] stores a corpus as plain-text trace files (+ `MANIFEST`),
-//! the same layout `kastio generate` emits, so an index survives restarts
-//! and datasets load directly (and shard placement, a pure function of
-//! ingestion order, survives with it). Saves are **atomic snapshots**
-//! (fresh temp directory renamed into place, previous snapshot preserved
-//! until the new one is complete) that run from shard *read* locks, and a
-//! [`Snapshotter`] thread can write them periodically; [`signal`] turns
-//! `SIGTERM`/`SIGINT` into a final snapshot plus clean listener shutdown,
-//! making the daemon crash-tolerant. With `--wal`, [`wal`] closes the
-//! window *between* snapshots too: every acked ingest is appended to a
+//! [`persist`] saves a corpus as **one durable snapshot file**,
+//! `<dir>/snapshot.log`: every entry as a CRC-framed WAL record, in id
+//! order (so shard placement, a pure function of ingestion order,
+//! survives a restart). A save streams the records into a temp file,
+//! fsyncs it, renames it into place and fsyncs the directory, running
+//! from shard *read* locks; a [`Snapshotter`] thread can save
+//! periodically, and [`signal`] turns `SIGTERM`/`SIGINT` into a final
+//! snapshot plus clean listener shutdown. Corpus directories (plain-text
+//! trace files + `MANIFEST`, the layout `kastio generate` emits) still
+//! load directly, as an import. With `--wal`, [`wal`] closes the window
+//! *between* snapshots too: every acked ingest is appended to a
 //! per-shard write-ahead log and fsync'd (group commit) before the ack
-//! goes out, recovery replays the log over the last good snapshot, and
-//! [`fault`] provides the crash-point injection the durability suite
+//! goes out, a save compacts the log only once its snapshot is durable,
+//! recovery replays the log over the last snapshot, and [`fault`]
+//! provides the crash-point injection the durability suite
 //! (`tests/wal_recovery.rs`) uses to prove no acked `INGEST` is ever
-//! lost — even to `kill -9` mid-write. [`server`] wraps the index in a
+//! lost — even to `kill -9` mid-write. (The kill suite cannot see a
+//! power cut; a test-build log of fsyncs and renames pins the order
+//! that guarantee rests on instead.) [`server`] wraps the index in a
 //! `TcpListener` daemon (Linux only: one epoll reactor plus a bounded
 //! worker pool) speaking the line protocol of [`protocol`]
 //! (`HELLO` / `INGEST` / `BATCH INGEST` / `QUERY` / `MQUERY` / `STATS` /
@@ -96,8 +100,7 @@ pub use index::{
 pub use kastio_trace::CorpusIoError;
 pub use lru::{KernelCache, SharedKernelCache};
 pub use persist::{
-    load_index, save_index, save_index_if_changed, save_index_if_changed_wal, save_index_wal,
-    SnapshotInfo, Snapshotter,
+    load_index, save_index_if_changed_wal, save_index_wal, SnapshotInfo, Snapshotter,
 };
 pub use prefilter::PrefilterConfig;
 pub use protocol::{

@@ -872,7 +872,7 @@ mod tests {
         roundtrip(&mut stream, "INGEST w h0 write 64;h0 write 64\n");
         let reply = roundtrip(&mut stream, "SAVE\n");
         assert_eq!(reply, "OK saved entries=1 generation=1\n");
-        assert!(dir.join("MANIFEST").exists());
+        assert!(kastio_trace::wal::snapshot_path(&dir).exists());
 
         let stats = roundtrip(&mut stream, "STATS\n");
         assert!(stats.contains("STAT snapshots 1\n"), "{stats}");

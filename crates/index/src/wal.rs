@@ -34,8 +34,11 @@
 //! but ingests running *concurrently with the snapshot* have already
 //! appended records with `id ≥ g` that a blind truncate would destroy.
 //! [`WalManager::compact`] therefore rewrites each shard log keeping
-//! only `id ≥ g` (temp file, fsync, rename — the same discipline as the
-//! snapshots), under the shard lock so no append interleaves.
+//! only `id ≥ g`, under the shard lock so no append interleaves. It and
+//! the snapshot writer share one durable-replace routine: temp file,
+//! write, fsync, rename, fsync of the directory. The temp file is opened
+//! in append mode and becomes the shard's new append handle the moment
+//! the rename lands, so no append can go to the unlinked old log.
 //! [`WalManager::truncate_all`] is the blunt form, safe only while no
 //! ingest can be in flight (the daemon uses it once at startup, after
 //! its establishing snapshot, to neutralise stale or foreign logs).
@@ -101,15 +104,62 @@ fn lock<'a, T>(mutex: &'a Mutex<T>) -> MutexGuard<'a, T> {
     mutex.lock().unwrap_or_else(|p| p.into_inner())
 }
 
+#[cfg(test)]
+thread_local! {
+    /// The calling thread's durability events (`fsync <path>`,
+    /// `rename <from> -> <to>`), so tests can assert their order.
+    pub(crate) static EVENTS: std::cell::RefCell<Vec<String>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// Logs a durability event in test builds; a no-op otherwise.
+fn log_event(_event: impl FnOnce() -> String) {
+    #[cfg(test)]
+    EVENTS.with_borrow_mut(|log| log.push(_event()));
+}
+
+/// Fsyncs directory `dir`, making the entries created or renamed in it
+/// durable.
+fn sync_dir(dir: &Path) -> io::Result<()> {
+    File::open(dir)?.sync_all()?;
+    log_event(|| format!("fsync {}", dir.display()));
+    Ok(())
+}
+
+/// Durably replaces the file at `path`: `write` fills `<path>.tmp`
+/// (opened in append mode, emptied first), which is fsync'd and renamed
+/// over `path`, and then the parent directory is fsync'd. `install`
+/// receives the new file's handle right after the rename, before anything
+/// else can fail. An error before the rename leaves `path` untouched.
+pub(crate) fn replace_durably(
+    path: &Path,
+    write: impl FnOnce(&File) -> io::Result<()>,
+    install: impl FnOnce(File),
+) -> io::Result<()> {
+    let mut tmp = path.as_os_str().to_os_string();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let file = OpenOptions::new().create(true).append(true).open(&tmp)?;
+    file.set_len(0)?;
+    write(&file)?;
+    file.sync_all()?;
+    log_event(|| format!("fsync {}", tmp.display()));
+    fs::rename(&tmp, path)?;
+    log_event(|| format!("rename {} -> {}", tmp.display(), path.display()));
+    install(file);
+    sync_dir(path.parent().expect("a file path has a parent directory"))
+}
+
 impl WalManager {
-    /// Opens (creating as needed) the shard logs under `<dir>/wal` and
-    /// starts the group-commit thread. The thread holds only a `Weak`
-    /// reference, so dropping the last `Arc` retires it within one
-    /// interval.
+    /// Opens (creating as needed) the shard logs under `<dir>/wal`, fsyncs
+    /// `wal/` and then `<dir>` so the files' directory entries survive a
+    /// power cut, and starts the group-commit thread. The thread holds
+    /// only a `Weak` reference, so dropping the last `Arc` retires it
+    /// within one interval.
     ///
     /// # Errors
     ///
-    /// Any filesystem error creating the directory or opening a log.
+    /// Any filesystem error creating or syncing a directory or opening a
+    /// log.
     pub fn open(dir: &Path, shards: usize, sync_interval: Duration) -> io::Result<Arc<WalManager>> {
         fs::create_dir_all(wal_dir(dir))?;
         let shards = (0..shards.max(1))
@@ -119,6 +169,8 @@ impl WalManager {
                 Ok(Mutex::new(WalShard { file, path, dirty: false }))
             })
             .collect::<io::Result<Vec<_>>>()?;
+        sync_dir(&wal_dir(dir))?;
+        sync_dir(dir)?;
         let manager = Arc::new(WalManager {
             shards,
             commit: Mutex::new(CommitState { appended: 0, durable: 0, failed: None }),
@@ -251,17 +303,20 @@ impl WalManager {
     /// Rewrites every shard log keeping only records with
     /// `id ≥ keep_from` — the compaction a snapshot at generation
     /// `keep_from` licenses. Runs per shard under the shard lock (temp
-    /// file, fsync, rename), so concurrent appends to other shards
+    /// file, fsync, rename, directory fsync; the temp file's handle
+    /// becomes the append handle), so concurrent appends to other shards
     /// proceed and no append interleaves a rewrite.
     ///
     /// # Errors
     ///
-    /// The first filesystem error; shards already compacted stay
-    /// compacted, the failing shard keeps its full (safe, merely
-    /// uncompacted) log.
+    /// The first filesystem error. Shards already compacted stay
+    /// compacted; the failing shard keeps its full log or, if only the
+    /// final directory fsync failed, the compacted one (both are safe);
+    /// and every shard's append handle stays on the file at its path.
     pub fn compact(&self, keep_from: u64) -> io::Result<()> {
         for shard in &self.shards {
-            let mut shard = lock(shard);
+            let mut guard = lock(shard);
+            let shard = &mut *guard;
             let bytes = fs::read(&shard.path)?;
             let scan = scan_wal(&bytes);
             let mut kept = Vec::new();
@@ -273,21 +328,13 @@ impl WalManager {
             if kept.len() as u64 == scan.durable_bytes && !scan.truncated {
                 continue; // nothing to drop: skip the rewrite
             }
-            let tmp = shard.path.with_extension("log.tmp");
-            {
-                let mut file = File::create(&tmp)?;
-                file.write_all(&kept)?;
-                file.sync_data()?;
-            }
-            fs::rename(&tmp, &shard.path)?;
-            if let Some(parent) = shard.path.parent() {
-                // Make the rename itself durable (best effort — some
-                // filesystems refuse directory fsyncs).
-                if let Ok(dirfd) = File::open(parent) {
-                    let _ = dirfd.sync_all();
-                }
-            }
-            shard.file = OpenOptions::new().create(true).append(true).open(&shard.path)?;
+            // The new file is fsync'd whole, which also covers any
+            // appended-but-unsynced records it kept.
+            replace_durably(
+                &shard.path,
+                |mut file| file.write_all(&kept),
+                |file| shard.file = file,
+            )?;
             shard.dirty = false;
         }
         Ok(())
@@ -381,11 +428,20 @@ mod tests {
         assert_eq!(even.records.iter().map(|r| r.id).collect::<Vec<_>>(), vec![6]);
         assert_eq!(odd.records.iter().map(|r| r.id).collect::<Vec<_>>(), vec![5, 7]);
 
-        // Appends keep working on the reopened handles.
+        // Appends keep working on the swapped-in handles.
         let seq = wal.append(&record(8)).unwrap();
         wal.wait_durable(seq).unwrap();
         let even = scan_wal(&fs::read(wal_shard_path(&dir, 0)).unwrap());
         assert_eq!(even.records.iter().map(|r| r.id).collect::<Vec<_>>(), vec![6, 8]);
+
+        // The handles are O_APPEND: after truncate_all's set_len(0), a
+        // positioned handle would write past a hole the scan stops at.
+        wal.truncate_all().unwrap();
+        let seq = wal.append(&record(10)).unwrap();
+        wal.wait_durable(seq).unwrap();
+        let bytes = fs::read(wal_shard_path(&dir, 0)).unwrap();
+        assert_eq!(bytes, encode_wal_record(&record(10)), "exactly the new record");
+        assert!(!scan_wal(&bytes).truncated);
         fs::remove_dir_all(&dir).unwrap();
     }
 

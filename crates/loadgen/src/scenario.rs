@@ -43,8 +43,8 @@ pub enum ScenarioKind {
     Overload,
     /// ~80% `QUERY`, ~10% `INGEST`, ~10% `SAVE`: save-storm's aggressive
     /// sibling. Snapshots land five times as often, each preceded by
-    /// enough ingests that `save_index_if_changed` actually rewrites the
-    /// directory — so the per-verb SAVE histogram measures real snapshot
+    /// enough ingests that each one writes a changed corpus to the
+    /// snapshot file — so the per-verb SAVE histogram measures real snapshot
     /// cost and the QUERY histogram shows whether those snapshots stall
     /// hot read traffic. Opt-in (`--scenario snapshot-stall`): it spends
     /// most of its wall clock on disk I/O, so baselines stay lean

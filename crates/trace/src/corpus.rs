@@ -1,8 +1,8 @@
 //! Corpus directories: many named, tagged traces in one directory.
 //!
-//! The layout the whole workspace shares — `kastio generate` writes it,
-//! `kastio cluster` reads it, and the corpus index persists through it:
-//! one `<name>.trace` file per entry (the [`crate::text`] format) plus a
+//! The layout the batch tools share — `kastio generate` writes it,
+//! `kastio cluster` reads it, and the corpus index imports it: one
+//! `<name>.trace` file per entry (the [`crate::text`] format) plus a
 //! `MANIFEST` of `<name> <tag>` lines. The *meaning* of the tag belongs to
 //! the caller (the dataset importer maps it to a category, the index
 //! stores it as a free-form label); this module only walks the layout.
@@ -171,13 +171,11 @@ fn write_file_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
 /// references files which were not fully written. When overwriting an
 /// existing corpus the old `MANIFEST` stays in place (and loadable) until
 /// every trace file of the new corpus is on disk. Note this is *per-file*
-/// atomicity against process crashes — whole-*directory* atomicity (old
-/// corpus preserved until the new one is complete) is layered on top by
-/// the index's snapshot writer, and power-loss durability (fsync) is out
-/// of scope.
+/// atomicity against process crashes only: nothing is fsync'd, so this
+/// is a dataset export format, not a durable one. The index's snapshots
+/// are a single fsync'd file of [`crate::wal`] records instead.
 ///
-/// Returns the total bytes written (trace files plus the manifest), so
-/// snapshot observability can report the size of a save.
+/// Returns the total bytes written (trace files plus the manifest).
 ///
 /// # Errors
 ///

@@ -66,6 +66,6 @@ pub use stats::TraceStats;
 pub use text::{parse_trace, write_trace, ParseTraceError};
 pub use trace::Trace;
 pub use wal::{
-    crc32, encode_wal_record, scan_wal, snapshot_dir, wal_dir, wal_shard_path, WalRecord, WalScan,
-    MAX_WAL_RECORD_BYTES, WAL_HEADER_BYTES,
+    crc32, encode_wal_record, scan_wal, snapshot_dir, snapshot_path, wal_dir, wal_shard_path,
+    WalRecord, WalScan, MAX_WAL_RECORD_BYTES, WAL_HEADER_BYTES,
 };

@@ -1,10 +1,11 @@
 //! Write-ahead-log record format and the durable corpus directory layout.
 //!
 //! The serve daemon's WAL (see `kastio-index`) appends one record per
-//! acknowledged ingest to `<dir>/wal/shard<i>.log`. This module owns the
-//! *format* — everything that must survive a process boundary — so that
-//! the encoder, the recovery scanner and the property tests all live next
-//! to the text format they reuse:
+//! acknowledged ingest to `<dir>/wal/shard<i>.log`, and its snapshots
+//! are `<dir>/snapshot.log`: the whole corpus as the same records, in id
+//! order. This module owns the *format* — everything that must survive a
+//! process boundary — so that the encoder, the recovery scanner and the
+//! property tests all live next to the text format they reuse:
 //!
 //! ```text
 //! record  := len:u32le  crc:u32le  payload[len]
@@ -84,12 +85,18 @@ pub fn wal_dir(dir: &Path) -> PathBuf {
     dir.join("wal")
 }
 
-/// The snapshot subdirectory of a durable corpus directory.
-///
-/// With a WAL the snapshot cannot be the directory itself: snapshots are
-/// atomic whole-directory swaps, and swapping `<dir>` would unlink the
-/// live logs under `<dir>/wal`. The swapped unit is `<dir>/snapshot`
-/// instead, and the WAL files stay at stable paths for their whole life.
+/// The snapshot file of a durable corpus directory: one record per
+/// entry, ids `0..n` in order, with no header (the generation is the
+/// record count).
+#[must_use]
+pub fn snapshot_path(dir: &Path) -> PathBuf {
+    dir.join("snapshot.log")
+}
+
+/// The legacy snapshot subdirectory of a durable corpus directory: a
+/// corpus directory (see [`crate::corpus`]) that roots written before
+/// [`snapshot_path`] kept their snapshot in. It is only ever read, as an
+/// import, and only while no snapshot file exists.
 #[must_use]
 pub fn snapshot_dir(dir: &Path) -> PathBuf {
     dir.join("snapshot")
@@ -251,6 +258,7 @@ mod tests {
     fn layout_helpers_compose_under_the_corpus_dir() {
         let dir = Path::new("/var/corpus");
         assert_eq!(wal_dir(dir), Path::new("/var/corpus/wal"));
+        assert_eq!(snapshot_path(dir), Path::new("/var/corpus/snapshot.log"));
         assert_eq!(snapshot_dir(dir), Path::new("/var/corpus/snapshot"));
         assert_eq!(wal_shard_path(dir, 3), Path::new("/var/corpus/wal/shard3.log"));
     }

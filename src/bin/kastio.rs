@@ -120,17 +120,19 @@ const HELP_TOPICS: &[(&str, &str)] = &[
          daemon's only parallelism. --shards splits the corpus across N\n\
          read-concurrent shards (default 4): queries take shard read\n\
          locks and run in parallel, ingests write-lock only the owning\n\
-         shard. --corpus preloads a dataset/index directory; --save\n\
-         makes the daemon durable: the corpus is snapshotted atomically\n\
-         to that directory on SHUTDOWN, on SAVE requests, on\n\
-         SIGTERM/SIGINT, and (with --snapshot-every N) every N seconds\n\
-         in the background while queries keep flowing (idle cycles are\n\
-         skipped). A failed final save exits non-zero. --wal (requires\n\
-         --save) adds a per-shard write-ahead log under <save-dir>/wal:\n\
-         every INGEST/BATCH INGEST is fsync'd (group commit every\n\
-         --wal-sync-micros microseconds, default 2000) before its OK\n\
-         reply, so an acked ingest survives kill -9; snapshots compact\n\
-         the log and restarts recover as last snapshot + WAL replay\n\
+         shard. --corpus preloads a save directory or a dataset\n\
+         directory (the `generate` layout). --save makes the daemon\n\
+         durable: the corpus is snapshotted to <save-dir>/snapshot.log\n\
+         (one file, fsync'd, then renamed into place) on SHUTDOWN, on\n\
+         SAVE requests, on SIGTERM/SIGINT, and (with --snapshot-every N)\n\
+         every N seconds in the background while queries keep flowing\n\
+         (idle cycles are skipped). A failed final save exits non-zero.\n\
+         --wal (requires --save) adds a per-shard write-ahead log under\n\
+         <save-dir>/wal: every INGEST/BATCH INGEST is fsync'd (group\n\
+         commit every --wal-sync-micros microseconds, default 2000)\n\
+         before its OK reply, so an acked ingest survives kill -9 and\n\
+         power loss; a snapshot compacts the log only once it is\n\
+         durable, and restarts recover as last snapshot + WAL replay\n\
          (point --corpus at the save dir). --candidates floors the\n\
          signature-prefilter budget. --slow-query-micros enables the\n\
          slow-query log: requests slower than N microseconds end-to-end\n\
@@ -481,7 +483,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     }
     if flags.wal && flags.save.is_none() {
         return Err(
-            "--wal needs --save <dir> (the durable root for snapshot/ and wal/)".to_string()
+            "--wal needs --save <dir> (the durable root for snapshot.log and wal/)".to_string()
         );
     }
     let opts = IndexOptions {

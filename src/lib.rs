@@ -84,10 +84,10 @@ pub use kastio_core::{
     TokenInterner, WeightedString,
 };
 pub use kastio_index::{
-    load_index, save_index, save_index_if_changed, save_index_if_changed_wal, save_index_wal,
-    watch_termination, IndexOptions, IndexStats, IngestError, Neighbor, PatternIndex,
-    PrefilterConfig, QueryResult, Server, ShutdownHandle, SignalWatcher, SnapshotInfo,
-    SnapshotStatus, Snapshotter, TermSignal, WalManager,
+    load_index, save_index_if_changed_wal, save_index_wal, watch_termination, IndexOptions,
+    IndexStats, IngestError, Neighbor, PatternIndex, PrefilterConfig, QueryResult, Server,
+    ShutdownHandle, SignalWatcher, SnapshotInfo, SnapshotStatus, Snapshotter, TermSignal,
+    WalManager,
 };
 pub use kastio_kernels::{
     gram_matrix, BagOfTokensKernel, BagOfWordsKernel, BlendedSpectrumKernel, GramMode,

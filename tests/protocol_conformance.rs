@@ -267,7 +267,7 @@ fn hello_then_work_then_shutdown_with_save_dir() {
     assert_eq!(conn.roundtrip("SAVE\n"), "OK saved entries=1 generation=1\n");
     assert_eq!(conn.roundtrip("SHUTDOWN\n"), "OK bye saved=1 generation=1\n");
     assert!(server.child.wait().expect("server exits").success());
-    assert!(save_dir.join("MANIFEST").exists());
+    assert!(save_dir.join("snapshot.log").exists());
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

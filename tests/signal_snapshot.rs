@@ -244,8 +244,7 @@ fn periodic_snapshots_survive_sigkill() {
     for i in 0..4 {
         conn.roundtrip(&format!("INGEST flash {}\n", wire_trace(i)));
     }
-    // Wait until a background snapshot has captured all four entries. A
-    // load may transiently race the snapshot swap; keep retrying.
+    // Wait until a background snapshot has captured all four entries.
     let deadline = Instant::now() + Duration::from_secs(120);
     loop {
         if let Ok(index) = load_index(&save, IndexOptions::default()) {
@@ -401,7 +400,7 @@ fn unpersistable_ingests_are_rejected_up_front() {
     index.ingest("ok", "flash", trace).unwrap();
     let dir = tmpdir("validate");
     let save = dir.join("corpus");
-    kastio::save_index(&index, &save).expect("corpus with only valid entries saves");
+    kastio::save_index_wal(&index, &save, None).expect("corpus with only valid entries saves");
     assert_eq!(load_index(&save, IndexOptions::default()).unwrap().len(), 1);
     std::fs::remove_dir_all(&dir).unwrap();
 }
