@@ -27,10 +27,22 @@
 //! ## Shard-assignment invariant
 //!
 //! An entry with [`EntryId`] `i` always lives in shard `i % S`. Ids are
-//! allocated from a monotonic counter in ingestion order, so a corpus
+//! allocated from a monotonic counter in commit order, so a corpus
 //! saved with [`crate::save_index_wal`] and reloaded with the same entry order
 //! lands every entry in the same shard again — placement is a pure
 //! function of ingestion order and shard count, never of timing.
+//!
+//! # Ingestion: prepare, then commit
+//!
+//! An ingest runs in two halves. [`PatternIndex::prepare_auto`]
+//! validates, admits against the memory budget, interns, and computes
+//! the self-kernel and signature. It takes no id and no shard lock, so
+//! the quadratic self-kernel of a large trace delays no other ingest.
+//! [`PatternIndex::commit`] then allocates a contiguous id range and runs
+//! the caller's log step on the finished entries under one mutex, and
+//! inserts them into their shards once it is released. Ids are thus
+//! given out in the order entries are logged: the write-ahead log is one
+//! file in id order, and a `BATCH INGEST` is one prepare and one commit.
 //!
 //! # Exactness contract
 //!
@@ -41,7 +53,7 @@
 //! (shards), never the arithmetic.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
@@ -246,8 +258,8 @@ pub struct SnapshotStatus {
     /// WAL bytes appended since startup (frames included). Overlaid like
     /// `wal_records`.
     pub wal_bytes: u64,
-    /// WAL group-commit fsyncs since startup (one per dirty shard per
-    /// commit pass). Overlaid like `wal_records`.
+    /// WAL group-commit fsyncs since startup (one per commit pass with
+    /// new records). Overlaid like `wal_records`.
     pub wal_fsyncs: u64,
     /// WAL records replayed by the last [`crate::load_index`] recovery
     /// (0 for a legacy-layout or snapshot-only load). Set at load time,
@@ -331,6 +343,16 @@ struct Shard {
     signatures: Vec<PatternSignature>,
 }
 
+/// An ingest that is validated, admitted and preprocessed but has no id
+/// yet: the output of [`PatternIndex::prepare_auto`], which
+/// [`PatternIndex::commit`] turns into a corpus entry. Its footprint is
+/// already charged to the memory budget, so it is meant to be committed.
+///
+/// The commit sets the entry's id and, for an auto-named entry, its name,
+/// which is empty until then (no valid name is empty).
+#[derive(Debug)]
+pub struct PreparedEntry(IndexEntry);
+
 /// The online pattern corpus index.
 ///
 /// All methods take `&self`: the index is internally synchronised (see the
@@ -342,7 +364,7 @@ struct Shard {
 /// # Shard-assignment invariant
 ///
 /// The entry with [`EntryId`] `i` lives in shard `i % shard_count()`, and
-/// ids are allocated contiguously in ingestion order. Placement is
+/// ids are allocated contiguously in commit order. Placement is
 /// therefore deterministic: re-ingesting the same entries in the same
 /// order (as [`crate::load_index`] does) reproduces the same shard layout.
 ///
@@ -388,7 +410,9 @@ pub struct PatternIndex {
     /// Report-only account carrying the query registry's memoised
     /// entries; released wholesale when the registry resets.
     registry_account: OnceLock<Account>,
-    next_id: AtomicU32,
+    /// The next id to give out. Held by [`PatternIndex::commit`] while it
+    /// allocates ids and logs the entries, so log order is id order.
+    next_id: Mutex<u32>,
     queries: Mutex<QueryRegistry>,
     stats: SharedStats,
     /// Bumped once per *completed* ingest (after the shard insertion), so
@@ -456,7 +480,7 @@ impl PatternIndex {
             interner_account: OnceLock::new(),
             interner_charged: AtomicU64::new(0),
             registry_account: OnceLock::new(),
-            next_id: AtomicU32::new(0),
+            next_id: Mutex::new(0),
             queries: Mutex::new(QueryRegistry::default()),
             stats: SharedStats::default(),
             generation: AtomicU64::new(0),
@@ -699,16 +723,8 @@ impl PatternIndex {
         label: impl Into<String>,
         trace: Trace,
     ) -> Result<EntryId, IngestError> {
-        let (name, label) = (name.into(), label.into());
-        if !valid_entry_name(&name) {
-            return Err(IngestError::InvalidName(name));
-        }
-        if !valid_entry_tag(&label) {
-            return Err(IngestError::InvalidLabel(label));
-        }
-        self.admit_entry(&name, &label, &trace)?;
-        let id = self.allocate_id();
-        Ok(self.ingest_with_id(id, name, label, trace))
+        let prepared = self.prepare(vec![(Some(name.into()), label.into(), trace)])?;
+        Ok(self.commit(prepared, |_| ()).0)
     }
 
     /// [`PatternIndex::ingest`] with the name derived from the allocated
@@ -720,70 +736,142 @@ impl PatternIndex {
     ///
     /// # Errors
     ///
-    /// [`IngestError::InvalidLabel`] when the label could not survive the
-    /// persistence round trip.
+    /// As [`PatternIndex::prepare_auto`].
     pub fn ingest_auto(
         &self,
         label: impl Into<String>,
         trace: Trace,
     ) -> Result<EntryId, IngestError> {
-        let label = label.into();
-        if !valid_entry_tag(&label) {
-            return Err(IngestError::InvalidLabel(label));
+        let prepared = self.prepare_auto(vec![(label.into(), trace)])?;
+        Ok(self.commit(prepared, |_| ()).0)
+    }
+
+    /// The first half of an ingest, for items that are named `e<id>` once
+    /// [`PatternIndex::commit`] gives them ids: validates every label,
+    /// admits the items' summed footprint against the memory budget in
+    /// one charge, then runs the preprocessing pipeline on each. It takes
+    /// no id and no shard lock, so any number of prepares run in
+    /// parallel with each other, with queries and with commits.
+    ///
+    /// # Errors
+    ///
+    /// [`IngestError::InvalidLabel`] for the first label that could not
+    /// survive the persistence round trip, and, with a quota attached,
+    /// [`IngestError::OverMemoryBudget`] when the items do not all fit.
+    /// Either way nothing is charged, prepared or ingested.
+    pub fn prepare_auto(
+        &self,
+        items: Vec<(String, Trace)>,
+    ) -> Result<Vec<PreparedEntry>, IngestError> {
+        self.prepare(items.into_iter().map(|(label, trace)| (None, label, trace)).collect())
+    }
+
+    /// [`PatternIndex::prepare_auto`] for items that may carry a name.
+    fn prepare(
+        &self,
+        items: Vec<(Option<String>, String, Trace)>,
+    ) -> Result<Vec<PreparedEntry>, IngestError> {
+        for (name, label, _) in &items {
+            if let Some(name) = name.as_ref().filter(|name| !valid_entry_name(name)) {
+                return Err(IngestError::InvalidName(name.clone()));
+            }
+            if !valid_entry_tag(label) {
+                return Err(IngestError::InvalidLabel(label.clone()));
+            }
         }
-        // Admission estimates with the widest name the id could render
-        // to ("e" + u32) so the estimate never depends on the id value.
-        self.admit_entry("e4294967295", &label, &trace)?;
-        let id = self.allocate_id();
-        Ok(self.ingest_with_id(id, format!("e{}", id.0), label, trace))
-    }
-
-    /// Memory admission for one prospective entry: with a quota attached,
-    /// charges its estimated footprint against the corpus account —
-    /// refusing (without allocating an id) when it no longer fits. The
-    /// `try_charge` under the hood reclaims (clears the kernel cache)
-    /// before giving up, so a refusal means the corpus truly cannot grow.
-    fn admit_entry(&self, name: &str, label: &str, trace: &Trace) -> Result<(), IngestError> {
-        let Some(account) = self.corpus_account.get() else { return Ok(()) };
-        if account.try_charge(entry_footprint_bytes(name, label, trace)) {
-            Ok(())
-        } else {
-            Err(IngestError::OverMemoryBudget)
+        if let Some(account) = self.corpus_account.get() {
+            // An auto-named entry is estimated with the widest name an id
+            // can render to ("e" + u32), so the charge never depends on
+            // the id. `try_charge` reclaims (clears the kernel cache)
+            // before refusing, so a refusal means the corpus truly cannot
+            // grow.
+            let footprint = items
+                .iter()
+                .map(|(name, label, trace)| {
+                    entry_footprint_bytes(name.as_deref().unwrap_or("e4294967295"), label, trace)
+                })
+                .sum();
+            if !account.try_charge(footprint) {
+                return Err(IngestError::OverMemoryBudget);
+            }
         }
+        Ok(items
+            .into_iter()
+            .map(|(name, label, trace)| {
+                let string = self.intern_trace(&trace);
+                let self_kernel = self.kernel.raw(&string, &string);
+                self.stats.ingest_evals.fetch_add(1, Ordering::Relaxed);
+                PreparedEntry(IndexEntry {
+                    id: EntryId(0),
+                    name: name.unwrap_or_default(),
+                    label,
+                    signature: PatternSignature::of(&trace, self.opts.signature),
+                    cut_mass: string.weight_at_least(self.opts.kast.cut_weight),
+                    trace,
+                    string,
+                    self_kernel,
+                })
+            })
+            .collect())
     }
 
-    fn allocate_id(&self) -> EntryId {
-        EntryId(self.next_id.fetch_add(1, Ordering::SeqCst))
-    }
-
-    fn ingest_with_id(&self, id: EntryId, name: String, label: String, trace: Trace) -> EntryId {
-        let string = self.intern_trace(&trace);
-        let self_kernel = self.kernel.raw(&string, &string);
-        self.stats.ingest_evals.fetch_add(1, Ordering::Relaxed);
-        let entry = IndexEntry {
-            id,
-            name,
-            label,
-            signature: PatternSignature::of(&trace, self.opts.signature),
-            cut_mass: string.weight_at_least(self.opts.kast.cut_weight),
-            trace,
-            string,
-            self_kernel,
+    /// The second half of an ingest: gives `prepared` the next
+    /// contiguous id range and adds the entries to the corpus. Returns
+    /// the first id and what `log` returned.
+    ///
+    /// The ids are allocated, and `log` runs on the finished entries,
+    /// under one mutex, so whatever `log` records is recorded in id order:
+    /// the serve daemon appends one WAL record per entry there. Lock
+    /// order: this mutex, then whatever `log` locks. No code path takes
+    /// it while holding a shard lock.
+    ///
+    /// The shard inserts run after the mutex is released, because a shard
+    /// write lock waits out every query in flight; inside the section
+    /// that wait would stall every other commit. The inserts happen
+    /// whatever `log` returned: an entry left out would be an id gap that
+    /// every later snapshot stops at.
+    pub fn commit<T>(
+        &self,
+        prepared: Vec<PreparedEntry>,
+        log: impl FnOnce(&[IndexEntry]) -> T,
+    ) -> (EntryId, T) {
+        let (first, entries, logged) = {
+            let mut next_id = self.next_id.lock().unwrap_or_else(|p| p.into_inner());
+            let first = *next_id;
+            let entries: Vec<IndexEntry> = prepared
+                .into_iter()
+                .zip(first..)
+                .map(|(PreparedEntry(mut entry), id)| {
+                    entry.id = EntryId(id);
+                    if entry.name.is_empty() {
+                        entry.name = entry.id.to_string();
+                    }
+                    entry
+                })
+                .collect();
+            *next_id +=
+                u32::try_from(entries.len()).expect("a commit holds fewer than 2^32 entries");
+            let logged = log(&entries);
+            (first, entries, logged)
         };
-        {
-            let mut shard = write_shard(&self.shards[self.shard_of(id)]);
-            // Concurrent ingests into one shard can reach this point out
-            // of id order; insert by id so shard contents are
-            // deterministic.
-            let at = shard.entries.partition_point(|e| e.id < id);
-            shard.signatures.insert(at, entry.signature);
-            shard.entries.insert(at, entry);
+        for entry in entries {
+            let id = entry.id;
+            {
+                let mut shard = write_shard(&self.shards[self.shard_of(id)]);
+                // Commits insert after releasing the id mutex, so entries
+                // can reach a shard out of id order; insert by id so
+                // shard contents are deterministic.
+                let at = shard.entries.partition_point(|e| e.id < id);
+                shard.signatures.insert(at, entry.signature);
+                shard.entries.insert(at, entry);
+            }
+            // Bumped strictly after the insertion (and after the shard
+            // lock is released): a snapshot that observes generation g
+            // therefore sees every entry of the g completed ingests in its
+            // shard scan.
+            self.generation.fetch_add(1, Ordering::SeqCst);
         }
-        // Bumped strictly after the insertion (and after the shard lock is
-        // released): a snapshot that observes generation g therefore sees
-        // every entry of the g completed ingests in its shard scan.
-        self.generation.fetch_add(1, Ordering::SeqCst);
-        id
+        (EntryId(first), logged)
     }
 
     /// Answers a k-NN query: the up-to-`k` most similar corpus entries and
@@ -1285,6 +1373,43 @@ mod tests {
         assert_eq!(result.neighbors.len(), 1);
         // The next id is contiguous with the admitted entries.
         assert_eq!(index.entries().last().unwrap().id.0 as usize, admitted - 1);
+    }
+
+    #[test]
+    fn a_refused_batch_charges_nothing_and_consumes_no_id() {
+        let quota = MemoryQuota::new(Some(4096));
+        let index = PatternIndex::new(IndexOptions::default());
+        index.attach_quota(&quota);
+        index.ingest_auto("w", checkpoint(4)).unwrap();
+        let used = quota.used();
+        // About 1.3 KiB of footprint each: one fits, three together do not.
+        let items = vec![("w".to_string(), checkpoint(24)); 3];
+        assert!(matches!(index.prepare_auto(items), Err(IngestError::OverMemoryBudget)));
+        assert_eq!(quota.used(), used, "nothing is charged");
+        assert_eq!(index.len(), 1);
+        assert_eq!(index.ingest_auto("w", checkpoint(24)).unwrap(), EntryId(1), "no id consumed");
+    }
+
+    #[test]
+    fn commit_logs_in_id_order_and_inserts_whatever_the_log_returns() {
+        let index = PatternIndex::new(IndexOptions { shards: 2, ..IndexOptions::default() });
+        index.ingest_auto("w", checkpoint(4)).unwrap();
+        let items = vec![("a".to_string(), checkpoint(5)), ("b".to_string(), scan(5))];
+        let prepared = index.prepare_auto(items).unwrap();
+        assert_eq!(index.len(), 1, "a prepare takes no id and inserts nothing");
+        let mut logged = Vec::new();
+        let (first, result) = index.commit(prepared, |entries| {
+            logged.extend(entries.iter().map(|e| (e.id.0, e.name.clone(), e.label.clone())));
+            Err::<(), _>("the log is full")
+        });
+        assert_eq!((first, result), (EntryId(1), Err("the log is full")));
+        let expected =
+            [(1, "e1".to_string(), "a".to_string()), (2, "e2".to_string(), "b".to_string())];
+        assert_eq!(logged, expected);
+        assert_eq!(index.len(), 3, "the entries are inserted even though the log step failed");
+        assert_eq!(index.generation(), 3);
+        assert!(matches!(index.ingest("", "c", scan(6)), Err(IngestError::InvalidName(_))));
+        assert_eq!(index.ingest("named", "c", scan(6)).unwrap(), EntryId(3));
     }
 
     #[test]

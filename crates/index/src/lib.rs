@@ -45,11 +45,12 @@
 //! snapshot plus clean listener shutdown. Corpus directories (plain-text
 //! trace files + `MANIFEST`, the layout `kastio generate` emits) still
 //! load directly, as an import. With `--wal`, [`wal`] closes the window
-//! *between* snapshots too: every acked ingest is appended to a
-//! per-shard write-ahead log and fsync'd (group commit) before the ack
-//! goes out, a save compacts the log only once its snapshot is durable,
-//! recovery replays the log over the last snapshot, and [`fault`]
-//! provides the crash-point injection the durability suite
+//! *between* snapshots too: every acked ingest is appended to one
+//! write-ahead log as its id is allocated, so the log is in id order,
+//! and fsync'd (group commit) before the ack goes out; a `BATCH INGEST`
+//! is one all-or-nothing commit. A save compacts the log only once its
+//! snapshot is durable, recovery replays the log over the last snapshot,
+//! and [`fault`] provides the crash-point injection the durability suite
 //! (`tests/wal_recovery.rs`) uses to prove no acked `INGEST` is ever
 //! lost — even to `kill -9` mid-write. (The kill suite cannot see a
 //! power cut; a test-build log of fsyncs and renames pins the order
@@ -95,7 +96,8 @@ pub mod wal;
 
 pub use entry::{EntryId, IndexEntry};
 pub use index::{
-    IndexOptions, IndexStats, IngestError, Neighbor, PatternIndex, QueryResult, SnapshotStatus,
+    IndexOptions, IndexStats, IngestError, Neighbor, PatternIndex, PreparedEntry, QueryResult,
+    SnapshotStatus,
 };
 pub use kastio_trace::CorpusIoError;
 pub use lru::{KernelCache, SharedKernelCache};

@@ -32,15 +32,15 @@ use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use kastio_trace::wal::{
-    encode_wal_record, scan_wal, snapshot_dir, snapshot_path, wal_dir, WalRecord,
-    MAX_WAL_RECORD_BYTES, WAL_HEADER_BYTES,
+    encode_wal_fields, scan_wal, snapshot_dir, snapshot_path, wal_dir, MAX_WAL_RECORD_BYTES,
+    WAL_HEADER_BYTES,
 };
 use kastio_trace::{read_corpus, CorpusIoError, Trace};
 
 use crate::entry::IndexEntry;
 use crate::fault::{crash_point, CRASH_AFTER_SNAPSHOT_RENAME};
 use crate::index::{IndexOptions, PatternIndex};
-use crate::wal::{replace_durably, WalManager};
+use crate::wal::{log_files, replace_durably, WalManager};
 
 /// What a successful [`save_index_wal`] wrote: the entry count and the
 /// corpus generation the snapshot covers (the `SAVE` verb reports both).
@@ -56,8 +56,8 @@ pub struct SnapshotInfo {
 
 /// Writes every entry of `index` to `<dir>/snapshot.log` as a durable
 /// snapshot, creating `dir` if needed (see the [module docs](self) for
-/// the protocol), and then, with a WAL, compacts the shard logs to the
-/// records the snapshot does not cover (`id ≥ generation`).
+/// the protocol), and then, with a WAL, compacts the log to the records
+/// the snapshot does not cover (`id ≥ generation`).
 ///
 /// Compaction failure is deliberately *not* a save failure: the snapshot
 /// is durable and the uncompacted records are redundant but harmless
@@ -142,17 +142,11 @@ fn write_snapshot_file(dir: &Path, entries: Vec<IndexEntry>) -> io::Result<u64> 
     let mut bytes = 0u64;
     let write = |file: &fs::File| {
         let mut out = BufWriter::new(file);
-        for entry in entries {
-            let record = WalRecord {
-                id: entry.id.0,
-                name: entry.name,
-                label: entry.label,
-                trace: entry.trace,
-            };
-            let encoded = encode_wal_record(&record);
+        for entry in &entries {
+            let encoded = encode_wal_fields(entry.id.0, &entry.name, &entry.label, &entry.trace);
             let payload = encoded.len() - WAL_HEADER_BYTES;
             if payload > MAX_WAL_RECORD_BYTES as usize {
-                let name = record.name;
+                let name = &entry.name;
                 let detail = format!("entry {name} needs a {payload}-byte record, over the cap");
                 return Err(io::Error::new(io::ErrorKind::InvalidData, detail));
             }
@@ -205,11 +199,15 @@ pub fn save_index_if_changed_wal(
 /// unless `<dir>/wal/` exists, in which case the base is empty (a root
 /// whose first snapshot never landed).
 ///
-/// Replay scans every `<dir>/wal/shard<i>.log` for its longest valid
-/// record prefix (a torn tail is truncated in place, never an error) and
-/// applies the records in id order from the base's length up to the
-/// first id gap — group commit orders fsyncs, so nothing past a gap was
-/// ever acknowledged. The count of replayed records lands in
+/// Replay scans every `<dir>/wal/shard*.log` for its longest valid
+/// record prefix (a torn tail is truncated in place, never an error):
+/// the one log, plus the per-shard logs of a root written before the log
+/// was one file. It merges the records by id and applies them from the
+/// base's length up to the first id gap. An ingest takes its id when its
+/// record is appended, so the log is in id order: an fsync that covers a
+/// record covers every lower id too, and a failed append poisons every
+/// later ack. Nothing past a gap was therefore acked. The count of
+/// replayed records lands in
 /// [`crate::index::SnapshotStatus::last_replay_records`].
 ///
 /// # Errors
@@ -266,23 +264,17 @@ fn ingest_loaded(
         .map_err(|e| CorpusIoError::BadEntry { field: e.to_string() })
 }
 
-/// Scans every shard log under `<dir>/wal`, truncates torn tails, and
-/// applies the durable records the base does not already contain.
-/// Returns how many records were applied.
+/// Scans every log under `<dir>/wal`, truncates torn tails, and applies
+/// the durable records the base does not already contain. Returns how
+/// many records were applied.
 fn replay_wal(index: &PatternIndex, dir: &Path) -> Result<u64, CorpusIoError> {
-    let wal = wal_dir(dir);
-    let entries = match fs::read_dir(&wal) {
-        Ok(entries) => entries,
+    let logs = match log_files(&wal_dir(dir)) {
+        Ok(logs) => logs,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(0),
         Err(e) => return Err(e.into()),
     };
     let mut records = Vec::new();
-    for entry in entries {
-        let path = entry?.path();
-        let name = path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
-        if !name.starts_with("shard") || !name.ends_with(".log") {
-            continue;
-        }
+    for path in logs {
         let scan = scan_wal(&fs::read(&path)?);
         if scan.truncated {
             // Cut the torn tail so the next daemon appends after the
@@ -294,7 +286,7 @@ fn replay_wal(index: &PatternIndex, dir: &Path) -> Result<u64, CorpusIoError> {
         }
         records.extend(scan.records);
     }
-    // Records arrive per shard; globally they are one id sequence.
+    // A legacy root spreads one id sequence over several files.
     records.sort_by_key(|r| r.id);
     let mut expected = u32::try_from(index.len()).unwrap_or(u32::MAX);
     let mut replayed = 0u64;
@@ -331,7 +323,7 @@ pub struct Snapshotter {
 impl Snapshotter {
     /// Starts the snapshot thread for `index`, saving to `dir` every
     /// `interval` when the corpus changed; with a WAL each save also
-    /// compacts the shard logs.
+    /// compacts the log.
     pub fn start_with_wal(
         index: Arc<PatternIndex>,
         dir: PathBuf,
@@ -366,7 +358,7 @@ impl Drop for Snapshotter {
 mod tests {
     use super::*;
     use kastio_trace::parse_trace;
-    use kastio_trace::wal::wal_shard_path;
+    use kastio_trace::wal::{encode_wal_record, wal_log_path, WalRecord};
     use std::collections::BTreeMap;
 
     fn tmpdir(tag: &str) -> std::path::PathBuf {
@@ -507,7 +499,7 @@ mod tests {
         // must go: the next save fails with a real IO error.
         index.ingest("extra", "flash", parse_trace("h0 write 64\n").unwrap()).unwrap();
         append_acked(&wal, 2, "extra", "flash", "h0 write 64\n");
-        let log = fs::read(wal_shard_path(&dir, 0)).unwrap();
+        let log = fs::read(wal_log_path(&dir)).unwrap();
         fs::create_dir(dir.join("snapshot.log.tmp")).unwrap();
         let err = save_index_wal(&index, &dir, Some(&wal)).unwrap_err();
         assert!(matches!(err, CorpusIoError::Io(_)), "{err}");
@@ -515,7 +507,7 @@ mod tests {
         // The previous snapshot is untouched, bit for bit, the log was
         // not compacted, and together they still hold every entry.
         assert_eq!(dir_bytes(&dir), before);
-        assert_eq!(fs::read(wal_shard_path(&dir, 0)).unwrap(), log, "compaction skipped");
+        assert_eq!(fs::read(wal_log_path(&dir)).unwrap(), log, "compaction skipped");
         let restored = load_index(&dir, IndexOptions::default()).unwrap();
         assert_eq!(entry_rows(&restored), entry_rows(&index));
 
@@ -734,7 +726,7 @@ mod tests {
         assert_eq!(info, SnapshotInfo { entries: 2, generation: 2 });
         assert_eq!(scan_wal(&fs::read(snapshot_path(&dir)).unwrap()).records.len(), 2);
         assert!(!snapshot_dir(&dir).exists(), "no snapshot directory");
-        assert_eq!(fs::read(wal_shard_path(&dir, 0)).unwrap(), b"");
+        assert_eq!(fs::read(wal_log_path(&dir)).unwrap(), b"");
 
         // One more acked ingest after the snapshot — WAL only.
         index.ingest("extra", "flash", parse_trace("h0 write 64\n").unwrap()).unwrap();
@@ -767,23 +759,28 @@ mod tests {
             manifest.push_str(&format!("e{i} L{i}\n"));
         }
         fs::write(legacy.join("MANIFEST"), manifest).unwrap();
-        let wal = WalManager::open(&dir, 4, Duration::from_micros(500)).unwrap();
+        // One log per shard, record `id` in shard `id % 4`.
+        fs::create_dir_all(wal_dir(&dir)).unwrap();
         for id in 3..7u32 {
-            append_acked(&wal, id, &format!("e{id}"), "tail", &format!("h0 write {id}\n"));
+            let record = record(id, &format!("e{id}"), "tail", &format!("h0 write {id}\n"));
+            let path = wal_dir(&dir).join(format!("shard{}.log", id % 4));
+            fs::write(path, encode_wal_record(&record)).unwrap();
         }
-        drop(wal);
 
         let loaded = load_index(&dir, IndexOptions::default()).unwrap();
         assert_eq!(loaded.len(), 7);
         assert_eq!(loaded.snapshot_status().last_replay_records, 4);
         let rows = entry_rows(&loaded);
 
-        // The daemon's start-up: open the logs, establish a snapshot,
-        // empty the logs.
+        // The daemon's start-up: open the log, establish a snapshot,
+        // empty the log and delete the per-shard ones.
         let wal = WalManager::open(&dir, 4, Duration::from_micros(500)).unwrap();
         save_index_wal(&loaded, &dir, Some(&wal)).unwrap();
         wal.truncate_all().unwrap();
         drop(wal);
+        let logs: Vec<_> =
+            fs::read_dir(wal_dir(&dir)).unwrap().map(|e| e.unwrap().path()).collect();
+        assert_eq!(logs, [wal_log_path(&dir)], "only the one log remains");
 
         // The legacy directory stays but is never read again.
         fs::write(legacy.join("MANIFEST"), "garbage\n").unwrap();
@@ -798,8 +795,11 @@ mod tests {
         let dir = tmpdir("order");
         crate::wal::EVENTS.take();
         let wal = WalManager::open(&dir, 2, Duration::from_micros(500)).unwrap();
+        // The log's entry, wal/'s, and that of the save root `open`
+        // created.
         let fsync = |path: &Path| format!("fsync {}", path.display());
-        assert_eq!(crate::wal::EVENTS.take(), [fsync(&wal_dir(&dir)), fsync(&dir)]);
+        let parent = dir.parent().unwrap();
+        assert_eq!(crate::wal::EVENTS.take(), [fsync(&wal_dir(&dir)), fsync(&dir), fsync(parent)]);
 
         let index = sample_index(IndexOptions::default());
         append_acked(&wal, 0, "ckpt", "flash", &"h0 write 1048576\n".repeat(8));
@@ -815,12 +815,8 @@ mod tests {
             let dir = path.parent().unwrap().to_path_buf();
             [fsync(&tmp), format!("rename {} -> {}", tmp.display(), path.display()), fsync(&dir)]
         };
-        let expected: Vec<String> = [
-            replaced(snapshot_path(&dir)),
-            replaced(wal_shard_path(&dir, 0)),
-            replaced(wal_shard_path(&dir, 1)),
-        ]
-        .concat();
+        let expected: Vec<String> =
+            [replaced(snapshot_path(&dir)), replaced(wal_log_path(&dir))].concat();
         assert_eq!(crate::wal::EVENTS.take(), expected);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -837,7 +833,7 @@ mod tests {
 
         // Tear the tail: half of a record the crash interrupted.
         let torn = encode_wal_record(&record(3, "torn", "flash", "h0 write 32\n"));
-        let path = wal_shard_path(&dir, 0);
+        let path = wal_log_path(&dir);
         let clean_len = fs::metadata(&path).unwrap().len();
         let mut file = fs::OpenOptions::new().append(true).open(&path).unwrap();
         file.write_all(&torn[..torn.len() / 2]).unwrap();
@@ -857,9 +853,10 @@ mod tests {
         let index = sample_index(IndexOptions::default());
         let wal = WalManager::open(&dir, 1, Duration::from_micros(500)).unwrap();
         save_index_wal(&index, &dir, Some(&wal)).unwrap();
-        // Record id 2 never made it to disk; id 3 did (its group commit
-        // covered a different shard first in some interleaving). Nothing
-        // at or past the gap was ever acked, so replay must stop.
+        // Record id 2 never made it to disk; id 3 did (possible only in
+        // a root whose log is cut short by a failed append, or one written
+        // with a log per shard). Nothing at or past the gap was ever
+        // acked, so replay must stop.
         append_acked(&wal, 3, "orphan", "flash", "h0 write 64\n");
         drop(wal);
         let restored = load_index(&dir, IndexOptions::default()).unwrap();

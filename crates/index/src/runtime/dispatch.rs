@@ -15,14 +15,13 @@
 //! * [`finish_after_write`] records the stage/latency histograms and the
 //!   slow-log entry once the reactor has written and flushed the reply.
 
-use std::io;
 use std::time::Instant;
 
 use kastio_quota::Account;
-use kastio_trace::wal::WalRecord;
 use kastio_trace::Trace;
 
-use crate::index::{IngestError, PatternIndex, QueryTimings};
+use crate::entry::EntryId;
+use crate::index::{PatternIndex, QueryTimings};
 use crate::persist::save_index_wal;
 use crate::protocol::{
     decode_trace_inline, render_hello_reply, render_hello_unsupported, render_metrics_reply,
@@ -316,26 +315,9 @@ pub(crate) fn execute_parsed(
             }
         }
         Ok(Request::Ingest { label, trace }) => {
-            // `ingest_auto` consumes the label and trace, but the WAL
-            // record needs them too — and only exists on the success
-            // path, so the clone is taken up front.
-            let journal = wal.map(|wal| (wal, label.clone(), trace.clone()));
-            match index.ingest_auto(label, trace) {
-                Ok(id) => {
-                    let durable = journal.map_or(Ok(()), |(wal, label, trace)| {
-                        wal_commit(
-                            wal,
-                            vec![WalRecord { id: id.0, name: format!("e{}", id.0), label, trace }],
-                        )
-                    });
-                    match durable {
-                        Ok(()) => {
-                            format!("OK id={} name=e{} entries={}\n", id.0, id.0, index.len())
-                        }
-                        Err(e) => format!("ERR wal: {e}\n"),
-                    }
-                }
-                Err(e) => format!("ERR {e}\n"),
+            match ingest_durably(index, vec![(label, trace)], wal) {
+                Ok(id) => format!("OK id={} name={id} entries={}\n", id.0, index.len()),
+                Err(e) => e,
             }
         }
         Ok(Request::BatchIngest { count }) => {
@@ -344,7 +326,10 @@ pub(crate) fn execute_parsed(
             };
             let reply = match items {
                 Items::Bad(message) => message,
-                Items::Parsed(items) => batch_ingest_reply(index, count, items, wal),
+                Items::Parsed(items) => match ingest_durably(index, items, wal) {
+                    Ok(_) => format!("OK batch={count} entries={}\n", index.len()),
+                    Err(e) => e,
+                },
             };
             drop(charge); // buffered bytes released once the reply exists
             reply
@@ -510,66 +495,23 @@ pub(crate) fn finish_after_write(ctx: &RequestContext, done: &Executed, reply_ns
     }
 }
 
-/// Applies a fully parsed `BATCH INGEST` item list. Labels were validated
-/// line by line during parsing; the remaining mid-batch failure is memory
-/// admission — with a budget attached, the first item that no longer fits
-/// sheds the rest of the batch with `ERR busy reason=memory` (the
-/// already-applied prefix is kept, as the reply says, and logged to the
-/// WAL so later acked ingests never sit past an id gap at replay).
-pub(crate) fn batch_ingest_reply(
+/// Ingests `items` as one unit and, with a WAL, makes them durable: one
+/// prepare (a refusal ingests nothing), then one commit whose log step
+/// appends a record per entry, so the records land in id order, then a
+/// wait for the group commit covering the last one. Returns the first id,
+/// or the `ERR` reply. After a failed append the entries are still in the
+/// corpus, but the reply must not ack them.
+fn ingest_durably(
     index: &PatternIndex,
-    count: usize,
     items: Vec<(String, Trace)>,
     wal: Option<&WalManager>,
-) -> String {
-    let mut records = Vec::new();
-    for (i, (label, trace)) in items.into_iter().enumerate() {
-        let journal = wal.map(|_| (label.clone(), trace.clone()));
-        match index.ingest_auto(label, trace) {
-            Ok(id) => {
-                if let Some((label, trace)) = journal {
-                    records.push(WalRecord { id: id.0, name: format!("e{}", id.0), label, trace });
-                }
-            }
-            Err(e) => {
-                // The applied prefix is in memory either way; with a WAL
-                // it must also be logged, or a *later* acked ingest would
-                // sit past an id gap and be dropped at replay. The ERR
-                // still means this batch as a whole was not acked.
-                if let Some(wal) = wal {
-                    let _ = wal_commit(wal, records);
-                }
-                // A memory shed keeps the canonical busy prefix so
-                // clients (and the shed counter) recognise it.
-                return match e {
-                    IngestError::OverMemoryBudget => {
-                        format!(
-                            "ERR busy reason=memory (first {i} of {count} items were ingested)\n"
-                        )
-                    }
-                    e => {
-                        format!("ERR item {}/{count}: {e} (previous items were ingested)\n", i + 1)
-                    }
-                };
-            }
-        }
-    }
-    if let Some(wal) = wal {
-        if let Err(e) = wal_commit(wal, records) {
-            return format!("ERR wal: {e}\n");
-        }
-    }
-    format!("OK batch={count} entries={}\n", index.len())
-}
-
-/// Appends `records` to the log and blocks until one group-commit fsync
-/// covers them all — the gate an ingest reply waits behind.
-pub(crate) fn wal_commit(wal: &WalManager, records: Vec<WalRecord>) -> io::Result<()> {
-    let mut last = 0;
-    for record in &records {
-        last = wal.append(record)?;
-    }
-    wal.wait_durable(last)
+) -> Result<EntryId, String> {
+    let prepared = index.prepare_auto(items).map_err(|e| format!("ERR {e}\n"))?;
+    let Some(wal) = wal else { return Ok(index.commit(prepared, |_| ()).0) };
+    let (first, last) = index
+        .commit(prepared, |entries| entries.iter().try_fold(0, |_, entry| wal.append_entry(entry)));
+    last.and_then(|seq| wal.wait_durable(seq)).map_err(|e| format!("ERR wal: {e}\n"))?;
+    Ok(first)
 }
 
 /// The index's snapshot status with the live WAL counters overlaid (when

@@ -1,25 +1,30 @@
-//! Per-shard write-ahead logging with group-commit fsync.
+//! The write-ahead log: one file, with group-commit fsync.
 //!
 //! [`WalManager`] closes the durability hole the atomic snapshots leave
 //! open: the window *between* saves. Every acknowledged `INGEST` /
 //! `BATCH INGEST` is appended (as a [`kastio_trace::wal`] record) to
-//! `<dir>/wal/shard<i>.log` — shard `i = id % shards`, mirroring the
-//! index's placement rule — and the server only writes the ack after
-//! [`WalManager::wait_durable`] confirms an fsync covering the record.
+//! `<dir>/wal/shard0.log` ([`wal_log_path`]), and the server only writes
+//! the ack after [`WalManager::wait_durable`] confirms an fsync covering
+//! the record. The daemon appends inside [`crate::PatternIndex::commit`],
+//! under the mutex that gives out ids, so the log holds its records in id
+//! order and any durable prefix of it is a prefix of the ids.
 //!
 //! # Group commit
 //!
 //! Fsync per record would put a disk flush on every ingest's latency.
 //! Instead appends are acknowledged in batches: [`WalManager::append`]
-//! writes the record under its shard's lock and takes a global commit
-//! sequence number; a background thread wakes every `sync_interval`
-//! (`--wal-sync-micros`, default 2 ms), reads the highest appended
-//! sequence, fsyncs every dirty shard file, and only then advances the
-//! durable watermark and wakes waiters. Because a sequence number is
-//! taken *after* its `write_all` returns, an fsync issued at watermark
-//! `t` provably covers every record with sequence ≤ `t`. Waiters also
-//! fsync inline if the watermark stalls, so a wedged sync thread delays
-//! acks rather than losing them.
+//! writes the record under the log lock and takes a commit sequence
+//! number; a background thread wakes every `sync_interval` (the daemon
+//! uses [`GROUP_COMMIT_INTERVAL`]), reads the highest appended sequence,
+//! fsyncs the log, and only then advances the durable watermark and wakes
+//! waiters. It holds the log lock only to clone the append handle and
+//! fsyncs the clone, so an append never waits out an fsync. Because a
+//! sequence number is taken *after* its `write_all` returns, an fsync
+//! issued at watermark `t` provably covers every record with sequence ≤
+//! `t` — also when a compaction swaps the handle in between, because
+//! compaction fsyncs the file it installs. Waiters also fsync inline if
+//! the watermark stalls, so a wedged sync thread delays acks rather than
+//! losing them.
 //!
 //! An fsync failure is **sticky**: after the kernel has failed a flush,
 //! previously-written dirty pages may already have been dropped, so no
@@ -33,12 +38,12 @@
 //! A snapshot at generation `g` makes records with `id < g` redundant —
 //! but ingests running *concurrently with the snapshot* have already
 //! appended records with `id ≥ g` that a blind truncate would destroy.
-//! [`WalManager::compact`] therefore rewrites each shard log keeping
-//! only `id ≥ g`, under the shard lock so no append interleaves. It and
-//! the snapshot writer share one durable-replace routine: temp file,
-//! write, fsync, rename, fsync of the directory. The temp file is opened
-//! in append mode and becomes the shard's new append handle the moment
-//! the rename lands, so no append can go to the unlinked old log.
+//! [`WalManager::compact`] therefore rewrites the log keeping only
+//! `id ≥ g`, under the log lock so no append interleaves. It and the
+//! snapshot writer share one durable-replace routine: temp file, write,
+//! fsync, rename, fsync of the directory. The temp file is opened in
+//! append mode and becomes the append handle the moment the rename lands,
+//! so no append can go to the unlinked old log.
 //! [`WalManager::truncate_all`] is the blunt form, safe only while no
 //! ingest can be in flight (the daemon uses it once at startup, after
 //! its establishing snapshot, to neutralise stale or foreign logs).
@@ -50,22 +55,21 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
-use kastio_trace::wal::{encode_wal_record, scan_wal, wal_dir, wal_shard_path, WalRecord};
+use kastio_trace::wal::{
+    encode_wal_fields, encode_wal_record, scan_wal, wal_dir, wal_log_path, WalRecord,
+};
 
+use crate::entry::IndexEntry;
 use crate::fault::{crash_point, crash_point_armed, CRASH_MID_RECORD};
 use crate::index::SnapshotStatus;
+
+/// The group-commit interval the serve daemon runs its log with: an ack
+/// waits at most about this long for the fsync that covers it.
+pub const GROUP_COMMIT_INTERVAL: Duration = Duration::from_millis(2);
 
 /// How long a durability waiter sleeps before concluding the sync
 /// thread has stalled and fsyncing inline.
 const STALL_TIMEOUT: Duration = Duration::from_millis(20);
-
-/// One shard's log file. `dirty` marks bytes written since the last
-/// fsync, so an idle shard costs a group commit nothing.
-struct WalShard {
-    file: File,
-    path: PathBuf,
-    dirty: bool,
-}
 
 /// The group-commit watermark pair: `appended` is the highest sequence
 /// whose record bytes are fully written; `durable` the highest covered
@@ -77,12 +81,15 @@ struct CommitState {
     failed: Option<String>,
 }
 
-/// The per-shard write-ahead log of one durable corpus directory.
+/// The write-ahead log of one durable corpus directory.
 ///
-/// Shared behind an `Arc`: the server's connection handlers append, a
+/// Shared behind an `Arc`: the server's ingest commits append, a
 /// background thread group-commits, snapshots compact.
 pub struct WalManager {
-    shards: Vec<Mutex<WalShard>>,
+    /// The append handle of `path`. Appends, compaction and truncation
+    /// hold the lock; the group commit only clones the handle under it.
+    log: Mutex<File>,
+    path: PathBuf,
     commit: Mutex<CommitState>,
     committed: Condvar,
     sync_interval: Duration,
@@ -94,7 +101,7 @@ pub struct WalManager {
 impl std::fmt::Debug for WalManager {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WalManager")
-            .field("shards", &self.shards.len())
+            .field("path", &self.path)
             .field("sync_interval", &self.sync_interval)
             .finish_non_exhaustive()
     }
@@ -117,12 +124,28 @@ fn log_event(_event: impl FnOnce() -> String) {
     EVENTS.with_borrow_mut(|log| log.push(_event()));
 }
 
-/// Fsyncs directory `dir`, making the entries created or renamed in it
-/// durable.
+/// Fsyncs directory `dir` (the empty path is the current directory),
+/// making the entries created, renamed or removed in it durable.
 fn sync_dir(dir: &Path) -> io::Result<()> {
-    File::open(dir)?.sync_all()?;
+    let open = if dir.as_os_str().is_empty() { Path::new(".") } else { dir };
+    File::open(open)?.sync_all()?;
     log_event(|| format!("fsync {}", dir.display()));
     Ok(())
+}
+
+/// Every `shard*.log` in the WAL directory `wal`: the one log and, in a
+/// root written before the log was one file, the per-shard logs beside
+/// it.
+pub(crate) fn log_files(wal: &Path) -> io::Result<Vec<PathBuf>> {
+    let mut logs = Vec::new();
+    for entry in fs::read_dir(wal)? {
+        let path = entry?.path();
+        let name = path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
+        if name.starts_with("shard") && name.ends_with(".log") {
+            logs.push(path);
+        }
+    }
+    Ok(logs)
 }
 
 /// Durably replaces the file at `path`: `write` fills `<path>.tmp`
@@ -150,29 +173,46 @@ pub(crate) fn replace_durably(
 }
 
 impl WalManager {
-    /// Opens (creating as needed) the shard logs under `<dir>/wal`, fsyncs
-    /// `wal/` and then `<dir>` so the files' directory entries survive a
-    /// power cut, and starts the group-commit thread. The thread holds
+    /// Opens (creating as needed) the log `<dir>/wal/shard0.log` and
+    /// fsyncs `wal/`, `<dir>`, and the parent of every directory it had
+    /// to create, so the log's directory entry survives a power cut even
+    /// on a fresh root. Then starts the group-commit thread, which holds
     /// only a `Weak` reference, so dropping the last `Arc` retires it
     /// within one interval.
     ///
+    /// `_shards` is ignored: the log is one file whatever the index's
+    /// shard count. It stays for the callers that still pass it.
+    ///
     /// # Errors
     ///
-    /// Any filesystem error creating or syncing a directory or opening a
-    /// log.
-    pub fn open(dir: &Path, shards: usize, sync_interval: Duration) -> io::Result<Arc<WalManager>> {
-        fs::create_dir_all(wal_dir(dir))?;
-        let shards = (0..shards.max(1))
-            .map(|i| {
-                let path = wal_shard_path(dir, i);
-                let file = OpenOptions::new().create(true).append(true).open(&path)?;
-                Ok(Mutex::new(WalShard { file, path, dirty: false }))
-            })
-            .collect::<io::Result<Vec<_>>>()?;
-        sync_dir(&wal_dir(dir))?;
-        sync_dir(dir)?;
+    /// Any filesystem error creating or syncing a directory or opening
+    /// the log.
+    pub fn open(
+        dir: &Path,
+        _shards: usize,
+        sync_interval: Duration,
+    ) -> io::Result<Arc<WalManager>> {
+        let wal = wal_dir(dir);
+        let created: Vec<PathBuf> = wal
+            .ancestors()
+            .take_while(|d| !d.as_os_str().is_empty() && !d.is_dir())
+            .map(Path::to_path_buf)
+            .collect();
+        fs::create_dir_all(&wal)?;
+        let path = wal_log_path(dir);
+        let file = OpenOptions::new().create(true).append(true).open(&path)?;
+        // The log's entry lives in wal/, wal/'s in <dir>, and each new
+        // directory's in its parent.
+        sync_dir(&wal)?;
+        for parent in wal.ancestors().skip(1) {
+            sync_dir(parent)?;
+            if !created.iter().any(|d| d == parent) {
+                break;
+            }
+        }
         let manager = Arc::new(WalManager {
-            shards,
+            log: Mutex::new(file),
+            path,
             commit: Mutex::new(CommitState { appended: 0, durable: 0, failed: None }),
             committed: Condvar::new(),
             sync_interval,
@@ -189,8 +229,8 @@ impl WalManager {
         Ok(manager)
     }
 
-    /// Appends one record to its shard's log and returns the commit
-    /// sequence number to pass to [`Self::wait_durable`] before acking.
+    /// Appends one record to the log and returns the commit sequence
+    /// number to pass to [`Self::wait_durable`] before acking.
     ///
     /// # Errors
     ///
@@ -198,23 +238,35 @@ impl WalManager {
     /// partial append leaves a torn tail, which recovery truncates —
     /// safe precisely because the ack never happened.
     pub fn append(&self, record: &WalRecord) -> io::Result<u64> {
-        let encoded = encode_wal_record(record);
-        let shard_index = record.id as usize % self.shards.len();
+        self.append_encoded(&encode_wal_record(record))
+    }
+
+    /// [`Self::append`] for an index entry, encoded straight from the
+    /// entry: the serve daemon's log step inside
+    /// [`crate::PatternIndex::commit`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::append`].
+    pub fn append_entry(&self, entry: &IndexEntry) -> io::Result<u64> {
+        self.append_encoded(&encode_wal_fields(entry.id.0, &entry.name, &entry.label, &entry.trace))
+    }
+
+    fn append_encoded(&self, encoded: &[u8]) -> io::Result<u64> {
         let written: io::Result<()> = (|| {
-            let mut shard = lock(&self.shards[shard_index]);
+            let mut file = lock(&self.log);
             if crash_point_armed(CRASH_MID_RECORD) {
                 // Make the torn half *durable* before aborting: a crash
                 // that loses the whole buffered record is the easy case;
                 // the hard case recovery must survive is half a record
                 // physically on disk.
-                shard.file.write_all(&encoded[..encoded.len() / 2])?;
-                shard.file.sync_data()?;
+                file.write_all(&encoded[..encoded.len() / 2])?;
+                file.sync_data()?;
                 crash_point(CRASH_MID_RECORD);
-                shard.file.write_all(&encoded[encoded.len() / 2..])?;
+                file.write_all(&encoded[encoded.len() / 2..])?;
             } else {
-                shard.file.write_all(&encoded)?;
+                file.write_all(encoded)?;
             }
-            shard.dirty = true;
             Ok(())
         })();
         if let Err(e) = written {
@@ -267,8 +319,9 @@ impl WalManager {
         }
     }
 
-    /// One group commit: fsync every dirty shard, then advance the
-    /// durable watermark to what had been appended when the pass began.
+    /// One group commit: fsync the log, then advance the durable
+    /// watermark to what had been appended when the pass began. The log
+    /// lock is held only to clone the handle, never across the fsync.
     fn sync_once(&self) {
         let target = {
             let state = lock(&self.commit);
@@ -277,84 +330,67 @@ impl WalManager {
             }
             state.appended
         };
-        let mut error = None;
-        for shard in &self.shards {
-            let mut shard = lock(shard);
-            if !shard.dirty {
-                continue;
-            }
-            match shard.file.sync_data() {
-                Ok(()) => {
-                    shard.dirty = false;
-                    self.fsyncs.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(e) => error = Some(format!("fsync {} failed: {e}", shard.path.display())),
-            }
-        }
+        let synced = lock(&self.log).try_clone().and_then(|file| file.sync_data());
         let mut state = lock(&self.commit);
-        match error {
-            None if state.durable < target => state.durable = target,
-            None => {}
-            Some(e) => state.failed = Some(e),
+        match synced {
+            Ok(()) => {
+                self.fsyncs.fetch_add(1, Ordering::Relaxed);
+                state.durable = state.durable.max(target);
+            }
+            Err(e) => state.failed = Some(format!("fsync {} failed: {e}", self.path.display())),
         }
         self.committed.notify_all();
     }
 
-    /// Rewrites every shard log keeping only records with
-    /// `id ≥ keep_from` — the compaction a snapshot at generation
-    /// `keep_from` licenses. Runs per shard under the shard lock (temp
-    /// file, fsync, rename, directory fsync; the temp file's handle
-    /// becomes the append handle), so concurrent appends to other shards
-    /// proceed and no append interleaves a rewrite.
+    /// Rewrites the log keeping only records with `id ≥ keep_from` — the
+    /// compaction a snapshot at generation `keep_from` licenses. Runs
+    /// under the log lock (temp file, fsync, rename, directory fsync; the
+    /// temp file's handle becomes the append handle), so no append
+    /// interleaves the rewrite.
     ///
     /// # Errors
     ///
-    /// The first filesystem error. Shards already compacted stay
-    /// compacted; the failing shard keeps its full log or, if only the
-    /// final directory fsync failed, the compacted one (both are safe);
-    /// and every shard's append handle stays on the file at its path.
+    /// The first filesystem error. The log is then either the full old
+    /// one or, if only the final directory fsync failed, the compacted
+    /// one (both are safe), and the append handle stays on the file at
+    /// its path.
     pub fn compact(&self, keep_from: u64) -> io::Result<()> {
-        for shard in &self.shards {
-            let mut guard = lock(shard);
-            let shard = &mut *guard;
-            let bytes = fs::read(&shard.path)?;
-            let scan = scan_wal(&bytes);
-            let mut kept = Vec::new();
-            for record in &scan.records {
-                if u64::from(record.id) >= keep_from {
-                    kept.extend_from_slice(&encode_wal_record(record));
-                }
+        let mut file = lock(&self.log);
+        let scan = scan_wal(&fs::read(&self.path)?);
+        let mut kept = Vec::new();
+        for record in &scan.records {
+            if u64::from(record.id) >= keep_from {
+                kept.extend_from_slice(&encode_wal_record(record));
             }
-            if kept.len() as u64 == scan.durable_bytes && !scan.truncated {
-                continue; // nothing to drop: skip the rewrite
-            }
-            // The new file is fsync'd whole, which also covers any
-            // appended-but-unsynced records it kept.
-            replace_durably(
-                &shard.path,
-                |mut file| file.write_all(&kept),
-                |file| shard.file = file,
-            )?;
-            shard.dirty = false;
         }
-        Ok(())
+        if kept.len() as u64 == scan.durable_bytes && !scan.truncated {
+            return Ok(()); // nothing to drop: skip the rewrite
+        }
+        // The new file is fsync'd whole, which also covers any
+        // appended-but-unsynced records it kept.
+        replace_durably(&self.path, |mut out| out.write_all(&kept), |new| *file = new)
     }
 
-    /// Empties every shard log. Only safe while no ingest can be in
-    /// flight; the daemon calls it once at startup, right after the
-    /// establishing snapshot, to neutralise stale or foreign logs.
+    /// Empties the log and deletes every other `shard<i>.log` beside it
+    /// (a root written before the log was one file holds one per shard),
+    /// then fsyncs `wal/`. Only safe while no ingest can be in flight; the
+    /// daemon calls it once at startup, right after the establishing
+    /// snapshot, to neutralise stale or foreign logs.
     ///
     /// # Errors
     ///
-    /// The first truncation error.
+    /// The first truncation, deletion or sync error.
     pub fn truncate_all(&self) -> io::Result<()> {
-        for shard in &self.shards {
-            let mut shard = lock(shard);
-            shard.file.set_len(0)?;
-            shard.file.sync_data()?;
-            shard.dirty = false;
+        let file = lock(&self.log);
+        file.set_len(0)?;
+        file.sync_data()?;
+        let wal = self.path.parent().expect("the log lives in wal/");
+        for log in log_files(wal)? {
+            if log != self.path {
+                fs::remove_file(log)?;
+            }
         }
-        Ok(())
+        sync_dir(wal)
     }
 
     /// Copies the live WAL counters into a [`SnapshotStatus`] (the form
@@ -369,6 +405,7 @@ impl WalManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::{IndexOptions, PatternIndex};
     use kastio_trace::parse_trace;
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -386,6 +423,10 @@ mod tests {
         }
     }
 
+    fn logged_ids(dir: &Path) -> Vec<u32> {
+        scan_wal(&fs::read(wal_log_path(dir)).unwrap()).records.iter().map(|r| r.id).collect()
+    }
+
     #[test]
     fn append_wait_then_rescan_recovers_every_record() {
         let dir = tmpdir("roundtrip");
@@ -396,17 +437,16 @@ mod tests {
         }
         wal.wait_durable(last).unwrap();
 
-        // Shard placement mirrors the index: id % shards.
-        let even = scan_wal(&fs::read(wal_shard_path(&dir, 0)).unwrap());
-        let odd = scan_wal(&fs::read(wal_shard_path(&dir, 1)).unwrap());
-        assert_eq!(even.records.iter().map(|r| r.id).collect::<Vec<_>>(), vec![0, 2, 4]);
-        assert_eq!(odd.records.iter().map(|r| r.id).collect::<Vec<_>>(), vec![1, 3, 5]);
-        assert!(!even.truncated && !odd.truncated);
+        // One log, whatever the shard count, in append order.
+        let scan = scan_wal(&fs::read(wal_log_path(&dir)).unwrap());
+        assert_eq!(scan.records, (0..6).map(record).collect::<Vec<_>>());
+        assert!(!scan.truncated);
+        assert_eq!(log_files(&wal_dir(&dir)).unwrap(), [wal_log_path(&dir)]);
 
         let mut status = SnapshotStatus::default();
         wal.overlay(&mut status);
         assert_eq!(status.wal_records, 6);
-        assert_eq!(status.wal_bytes, even.durable_bytes + odd.durable_bytes);
+        assert_eq!(status.wal_bytes, scan.durable_bytes);
         assert!(status.wal_fsyncs >= 1, "at least one group commit ran");
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -423,69 +463,84 @@ mod tests {
 
         // A snapshot at generation 5 licenses dropping ids 0..5 only.
         wal.compact(5).unwrap();
-        let even = scan_wal(&fs::read(wal_shard_path(&dir, 0)).unwrap());
-        let odd = scan_wal(&fs::read(wal_shard_path(&dir, 1)).unwrap());
-        assert_eq!(even.records.iter().map(|r| r.id).collect::<Vec<_>>(), vec![6]);
-        assert_eq!(odd.records.iter().map(|r| r.id).collect::<Vec<_>>(), vec![5, 7]);
+        assert_eq!(logged_ids(&dir), [5, 6, 7]);
 
-        // Appends keep working on the swapped-in handles.
+        // Appends keep working on the swapped-in handle.
         let seq = wal.append(&record(8)).unwrap();
         wal.wait_durable(seq).unwrap();
-        let even = scan_wal(&fs::read(wal_shard_path(&dir, 0)).unwrap());
-        assert_eq!(even.records.iter().map(|r| r.id).collect::<Vec<_>>(), vec![6, 8]);
+        assert_eq!(logged_ids(&dir), [5, 6, 7, 8]);
 
-        // The handles are O_APPEND: after truncate_all's set_len(0), a
+        // The handle is O_APPEND: after truncate_all's set_len(0), a
         // positioned handle would write past a hole the scan stops at.
         wal.truncate_all().unwrap();
         let seq = wal.append(&record(10)).unwrap();
         wal.wait_durable(seq).unwrap();
-        let bytes = fs::read(wal_shard_path(&dir, 0)).unwrap();
+        let bytes = fs::read(wal_log_path(&dir)).unwrap();
         assert_eq!(bytes, encode_wal_record(&record(10)), "exactly the new record");
         assert!(!scan_wal(&bytes).truncated);
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn truncate_all_empties_every_shard() {
+    fn truncate_all_empties_the_log_and_deletes_legacy_shard_logs() {
         let dir = tmpdir("truncate");
+        // A root written with one log per shard: shards 1 and 2 beside
+        // the log this layout keeps.
+        fs::create_dir_all(wal_dir(&dir)).unwrap();
+        for shard in 1..3u32 {
+            let path = wal_dir(&dir).join(format!("shard{shard}.log"));
+            fs::write(path, encode_wal_record(&record(shard))).unwrap();
+        }
         let wal = WalManager::open(&dir, 3, Duration::from_micros(500)).unwrap();
-        let mut last = 0;
-        for id in 0..5 {
-            last = wal.append(&record(id)).unwrap();
-        }
+        let last = wal.append(&record(0)).unwrap();
         wal.wait_durable(last).unwrap();
+        EVENTS.take();
         wal.truncate_all().unwrap();
-        for shard in 0..3 {
-            assert_eq!(fs::read(wal_shard_path(&dir, shard)).unwrap(), b"");
-        }
+        assert_eq!(log_files(&wal_dir(&dir)).unwrap(), [wal_log_path(&dir)]);
+        assert_eq!(fs::read(wal_log_path(&dir)).unwrap(), b"");
+        assert_eq!(EVENTS.take(), [format!("fsync {}", wal_dir(&dir).display())]);
         // And the log is usable again afterwards.
         let seq = wal.append(&record(9)).unwrap();
         wal.wait_durable(seq).unwrap();
-        assert_eq!(scan_wal(&fs::read(wal_shard_path(&dir, 0)).unwrap()).records[0].id, 9);
+        assert_eq!(logged_ids(&dir), [9]);
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn concurrent_appends_all_become_durable() {
+    fn concurrent_commits_log_every_record_in_id_order() {
         let dir = tmpdir("concurrent");
         let wal = WalManager::open(&dir, 4, Duration::from_micros(200)).unwrap();
+        let index = PatternIndex::new(IndexOptions { shards: 4, ..IndexOptions::default() });
         std::thread::scope(|scope| {
             for t in 0..4u32 {
-                let wal = Arc::clone(&wal);
+                let (wal, index) = (&wal, &index);
                 scope.spawn(move || {
-                    for i in 0..16 {
-                        let seq = wal.append(&record(t * 16 + i)).unwrap();
-                        wal.wait_durable(seq).unwrap();
+                    for i in 0..16u32 {
+                        let text = format!("h0 write {}\n", 64 + t * 16 + i).repeat(1 + i as usize);
+                        let trace = parse_trace(&text).unwrap();
+                        let prepared = index.prepare_auto(vec![(format!("t{t}"), trace)]).unwrap();
+                        let (_, seq) = index.commit(prepared, |entries| {
+                            entries.iter().try_fold(0, |_, entry| wal.append_entry(entry))
+                        });
+                        wal.wait_durable(seq.unwrap()).unwrap();
                     }
                 });
             }
         });
-        let mut ids: Vec<u32> = (0..4)
-            .flat_map(|s| scan_wal(&fs::read(wal_shard_path(&dir, s)).unwrap()).records)
-            .map(|r| r.id)
-            .collect();
-        ids.sort_unstable();
-        assert_eq!(ids, (0..64).collect::<Vec<_>>());
+        let logged = scan_wal(&fs::read(wal_log_path(&dir)).unwrap()).records;
+        assert_eq!(
+            logged.iter().map(|r| r.id).collect::<Vec<_>>(),
+            (0..64).collect::<Vec<_>>(),
+            "file order is id order"
+        );
+        // Each record is the entry the index holds under its id.
+        for (record, entry) in logged.iter().zip(index.entries()) {
+            assert_eq!(
+                (record.id, &record.name, &record.label),
+                (entry.id.0, &entry.name, &entry.label)
+            );
+            assert_eq!(record.trace, entry.trace);
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -46,6 +46,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use kastio_index::protocol::read_reply;
+use kastio_index::wal::GROUP_COMMIT_INTERVAL;
 use kastio_index::{IndexOptions, PatternIndex, Server, WalManager};
 
 pub use client::{run_scenario, ScenarioRun, VerbStats};
@@ -188,7 +189,7 @@ pub fn run(config: &LoadConfig) -> Result<Report, String> {
                 std::process::id(),
                 SCRATCH_ID.fetch_add(1, Ordering::Relaxed)
             ));
-            let wal = WalManager::open(&scratch, config.shards, Duration::from_millis(2))
+            let wal = WalManager::open(&scratch, config.shards, GROUP_COMMIT_INTERVAL)
                 .map_err(|e| format!("cannot open the load server's WAL: {e}"))?;
             let server = Server::bind("127.0.0.1:0", index)
                 .map_err(|e| format!("cannot bind load server: {e}"))?

@@ -1,11 +1,12 @@
 //! Write-ahead-log record format and the durable corpus directory layout.
 //!
 //! The serve daemon's WAL (see `kastio-index`) appends one record per
-//! acknowledged ingest to `<dir>/wal/shard<i>.log`, and its snapshots
-//! are `<dir>/snapshot.log`: the whole corpus as the same records, in id
-//! order. This module owns the *format* — everything that must survive a
-//! process boundary — so that the encoder, the recovery scanner and the
-//! property tests all live next to the text format they reuse:
+//! acknowledged ingest to one log, `<dir>/wal/shard0.log`, in id order,
+//! and its snapshots are `<dir>/snapshot.log`: the whole corpus as the
+//! same records, in id order. This module owns the *format* — everything
+//! that must survive a process boundary — so that the encoder, the
+//! recovery scanner and the property tests all live next to the text
+//! format they reuse:
 //!
 //! ```text
 //! record  := len:u32le  crc:u32le  payload[len]
@@ -41,7 +42,8 @@ pub const MAX_WAL_RECORD_BYTES: u32 = 64 << 20;
 /// One acknowledged ingest, as persisted to (and recovered from) a WAL.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WalRecord {
-    /// Corpus entry id (ingestion order; placement is `id % shards`).
+    /// Corpus entry id. Ids are given out as records are logged, so a
+    /// log holds its records in id order.
     pub id: u32,
     /// Entry name (validated by [`crate::valid_entry_name`] at ingest).
     pub name: String,
@@ -51,7 +53,7 @@ pub struct WalRecord {
     pub trace: Trace,
 }
 
-/// Result of scanning one WAL shard file.
+/// Result of scanning one log or snapshot file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WalScan {
     /// Every record in the longest valid prefix, in file order.
@@ -102,17 +104,27 @@ pub fn snapshot_dir(dir: &Path) -> PathBuf {
     dir.join("snapshot")
 }
 
-/// The log file of shard `shard` under `dir`'s WAL subdirectory.
+/// The write-ahead log of a durable corpus directory. Roots written
+/// before the log was one file hold one `shard<i>.log` per shard beside
+/// it; recovery reads those too. The name is kept so that such roots and
+/// this layout read each other's logs.
 #[must_use]
-pub fn wal_shard_path(dir: &Path, shard: usize) -> PathBuf {
-    wal_dir(dir).join(format!("shard{shard}.log"))
+pub fn wal_log_path(dir: &Path) -> PathBuf {
+    wal_dir(dir).join("shard0.log")
 }
 
 /// Encodes one record as a framed byte string ready to append.
 #[must_use]
 pub fn encode_wal_record(record: &WalRecord) -> Vec<u8> {
-    let mut payload = format!("{} {} {}\n", record.id, record.name, record.label).into_bytes();
-    payload.extend_from_slice(write_trace(&record.trace).as_bytes());
+    encode_wal_fields(record.id, &record.name, &record.label, &record.trace)
+}
+
+/// [`encode_wal_record`] from borrowed fields, for a caller that holds
+/// an entry rather than a [`WalRecord`].
+#[must_use]
+pub fn encode_wal_fields(id: u32, name: &str, label: &str, trace: &Trace) -> Vec<u8> {
+    let mut payload = format!("{id} {name} {label}\n").into_bytes();
+    payload.extend_from_slice(write_trace(trace).as_bytes());
     let len = u32::try_from(payload.len()).expect("WAL payloads fit in u32");
     let crc = crc32(&payload);
     let mut out = Vec::with_capacity(WAL_HEADER_BYTES + payload.len());
@@ -138,7 +150,8 @@ fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
     Some(WalRecord { id, name, label, trace })
 }
 
-/// Scans a WAL shard file's bytes into the longest valid record prefix.
+/// Scans a log or snapshot file's bytes into the longest valid record
+/// prefix.
 ///
 /// Never panics on arbitrary input. Stops — reporting `truncated` — at
 /// the first frame that is incomplete, claims an implausible length,
@@ -260,6 +273,6 @@ mod tests {
         assert_eq!(wal_dir(dir), Path::new("/var/corpus/wal"));
         assert_eq!(snapshot_path(dir), Path::new("/var/corpus/snapshot.log"));
         assert_eq!(snapshot_dir(dir), Path::new("/var/corpus/snapshot"));
-        assert_eq!(wal_shard_path(dir, 3), Path::new("/var/corpus/wal/shard3.log"));
+        assert_eq!(wal_log_path(dir), Path::new("/var/corpus/wal/shard0.log"));
     }
 }

@@ -7,7 +7,7 @@
 //! kastio generate <dir> [--seed N]
 //! kastio cluster  <dir> [--cut N] [--ignore-bytes] [--groups K]
 //! kastio serve    [--port N] [--shards N] [--corpus <dir>] [--save <dir>]
-//!                 [--wal] [--wal-sync-micros N] [--snapshot-every <secs>]
+//!                 [--wal] [--snapshot-every <secs>]
 //!                 [--cut N] [--ignore-bytes] [--candidates N]
 //!                 [--slow-query-micros N] [--max-memory-bytes N]
 //!                 [--max-connections N] [--idle-timeout-secs N]
@@ -42,6 +42,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use kastio::index::protocol::{encode_trace_inline, read_reply, PROTOCOL_VERSION};
+use kastio::index::wal::GROUP_COMMIT_INTERVAL;
 use kastio::loadgen::{dry_run_trace, LoadConfig, ScenarioKind};
 use kastio::pattern::explain::explain_similarity;
 use kastio::workloads::{export_dataset, import_dataset};
@@ -59,7 +60,7 @@ usage:
   kastio generate <dir> [--seed N]
   kastio cluster  <dir> [--cut N] [--ignore-bytes] [--groups K]
   kastio serve    [--port N] [--shards N] [--corpus <dir>] [--save <dir>]
-                  [--wal] [--wal-sync-micros N] [--snapshot-every <secs>]
+                  [--wal] [--snapshot-every <secs>]
                   [--cut N] [--ignore-bytes] [--candidates N]
                   [--slow-query-micros N] [--max-memory-bytes N]
                   [--max-connections N] [--idle-timeout-secs N]
@@ -108,7 +109,7 @@ const HELP_TOPICS: &[(&str, &str)] = &[
     (
         "serve",
         "kastio serve [--port N] [--shards N] [--corpus <dir>] [--save <dir>]\n\
-         \u{20}            [--wal] [--wal-sync-micros N] [--snapshot-every <secs>]\n\
+         \u{20}            [--wal] [--snapshot-every <secs>]\n\
          \u{20}            [--cut N] [--ignore-bytes] [--candidates N]\n\
          \u{20}            [--slow-query-micros N] [--max-memory-bytes N]\n\
          \u{20}            [--max-connections N] [--idle-timeout-secs N]\n\n\
@@ -127,11 +128,12 @@ const HELP_TOPICS: &[(&str, &str)] = &[
          SAVE requests, on SIGTERM/SIGINT, and (with --snapshot-every N)\n\
          every N seconds in the background while queries keep flowing\n\
          (idle cycles are skipped). A failed final save exits non-zero.\n\
-         --wal (requires --save) adds a per-shard write-ahead log under\n\
-         <save-dir>/wal: every INGEST/BATCH INGEST is fsync'd (group\n\
-         commit every --wal-sync-micros microseconds, default 2000)\n\
-         before its OK reply, so an acked ingest survives kill -9 and\n\
-         power loss; a snapshot compacts the log only once it is\n\
+         --wal (requires --save) adds a write-ahead log,\n\
+         <save-dir>/wal/shard0.log: every INGEST/BATCH INGEST is logged\n\
+         as its ids are allocated, so the log is in id order, and\n\
+         fsync'd (group commit every 2 ms) before its OK reply, so an\n\
+         acked ingest survives kill -9 and power loss; a BATCH INGEST\n\
+         is all-or-nothing. A snapshot compacts the log only once it is\n\
          durable, and restarts recover as last snapshot + WAL replay\n\
          (point --corpus at the save dir). --candidates floors the\n\
          signature-prefilter budget. --slow-query-micros enables the\n\
@@ -228,7 +230,6 @@ struct Flags {
     shards: usize,
     candidates: usize,
     snapshot_every: u64,
-    wal_sync_micros: u64,
     clients: usize,
     ops: usize,
     band: u64,
@@ -277,7 +278,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         shards: 4,
         candidates: PrefilterConfig::default().min_candidates,
         snapshot_every: 0,
-        wal_sync_micros: 2000,
         clients: 4,
         ops: 20,
         band: 25,
@@ -329,7 +329,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             | "--shards"
             | "--candidates"
             | "--snapshot-every"
-            | "--wal-sync-micros"
             | "--clients"
             | "--ops"
             | "--band"
@@ -348,7 +347,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                     "--shards" => flags.shards = (parsed as usize).max(1),
                     "--candidates" => flags.candidates = (parsed as usize).max(1),
                     "--snapshot-every" => flags.snapshot_every = parsed,
-                    "--wal-sync-micros" => flags.wal_sync_micros = parsed.max(1),
                     "--clients" => flags.clients = (parsed as usize).max(1),
                     "--ops" => flags.ops = (parsed as usize).max(1),
                     "--band" => flags.band = parsed,
@@ -515,12 +513,8 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     // the ids this run is about to assign.
     let wal = match (&save_dir, flags.wal) {
         (Some(dir), true) => {
-            let wal = kastio::WalManager::open(
-                dir,
-                flags.shards,
-                Duration::from_micros(flags.wal_sync_micros),
-            )
-            .map_err(|e| format!("cannot open the WAL under {}: {e}", dir.display()))?;
+            let wal = kastio::WalManager::open(dir, flags.shards, GROUP_COMMIT_INTERVAL)
+                .map_err(|e| format!("cannot open the WAL under {}: {e}", dir.display()))?;
             kastio::save_index_wal(&index, dir, Some(&wal))
                 .map_err(|e| format!("establishing snapshot in {} failed: {e}", dir.display()))?;
             wal.truncate_all()

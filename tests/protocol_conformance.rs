@@ -602,6 +602,31 @@ fn memory_governed_server_sheds_with_the_documented_busy_error() {
     assert_eq!(conn.roundtrip("SHUTDOWN\n"), "OK bye\n");
 }
 
+/// `BATCH INGEST` is all-or-nothing under the memory budget: a batch
+/// whose items fit one at a time but not together is refused whole, with
+/// the plain busy error. No item is ingested and no id is consumed.
+#[test]
+fn batch_over_the_memory_budget_is_refused_whole() {
+    let server = start_server(&["--max-memory-bytes", "4096"]);
+    let mut conn = Connection::open(&server.addr);
+
+    assert_eq!(
+        conn.roundtrip("INGEST flash h0 write 64;h0 write 64\n"),
+        "OK id=0 name=e0 entries=1\n"
+    );
+    // 30 ops ≈ 1.6 KiB of corpus footprint per item: one fits the 4 KiB
+    // budget beside the first entry, three do not.
+    let item = format!("flash {}\n", "h0 write 64;".repeat(30));
+    let batch = format!("BATCH INGEST 3\n{item}{item}{item}");
+    assert_eq!(conn.roundtrip(&batch), "ERR busy reason=memory\n");
+
+    let stats = conn.roundtrip("STATS\n");
+    assert!(stats.contains("STAT entries 1\n"), "no item was ingested: {stats}");
+    assert!(stats.contains("STAT shed_memory 1\n"), "{stats}");
+    assert_eq!(conn.roundtrip(&format!("INGEST {item}")), "OK id=1 name=e1 entries=2\n");
+    assert_eq!(conn.roundtrip("SHUTDOWN\n"), "OK bye\n");
+}
+
 /// Connection admission control: --max-connections 1 sheds the second
 /// concurrent connection with the documented busy error before reading
 /// anything from it, then hangs up.

@@ -163,10 +163,7 @@ fn sigterm_mid_traffic_snapshots_every_acknowledged_ingest() {
 fn sigkill_mid_batch_ingest_burst_keeps_every_acked_batch() {
     let dir = tmpdir("wal-batch-kill");
     let save = dir.join("corpus");
-    let mut server = start_server(
-        &["--save", save.to_str().unwrap(), "--wal", "--wal-sync-micros", "500"],
-        false,
-    );
+    let mut server = start_server(&["--save", save.to_str().unwrap(), "--wal"], false);
 
     const BATCH: usize = 4;
     let addr = server.addr.clone();

@@ -1,11 +1,12 @@
 //! The durability contract, proven against the real `kastio serve`
 //! binary: **no acked `INGEST` is ever lost**. With `--wal` every
 //! acknowledged ingest is fsync'd before its `OK` reply, so these tests
-//! kill the daemon — `kill -9` mid-stream, or `abort()` at injected
-//! crash points (`KASTIO_CRASH_POINT`, see `kastio_index::fault`) — and
-//! assert that reload (= last good snapshot + WAL replay) recovers every
-//! acked entry bit-for-bit, that a torn WAL tail truncates cleanly, and
-//! that replay is idempotent across double reloads.
+//! kill the daemon — `kill -9` mid-stream, right after a small ingest is
+//! acked while a large one is still being prepared, or `abort()` at
+//! injected crash points (`KASTIO_CRASH_POINT`, see `kastio_index::fault`)
+//! — and assert that reload (= last good snapshot + WAL replay) recovers
+//! every acked entry bit-for-bit, that a torn WAL tail truncates cleanly,
+//! and that replay is idempotent across double reloads.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -14,7 +15,7 @@ use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
 use kastio::index::protocol::{decode_trace_inline, read_reply};
-use kastio::trace::wal::{scan_wal, wal_dir};
+use kastio::trace::wal::{scan_wal, wal_dir, wal_log_path};
 use kastio::{load_index, write_trace, IndexOptions, PatternIndex};
 
 /// Kills the serve daemon if a test panics before its planned death.
@@ -133,8 +134,7 @@ fn send_signal(child: &Child, signal: &str) {
 fn sigkill_mid_ingest_stream_loses_no_acked_entry() {
     let dir = tmpdir("sigkill");
     let save = dir.join("corpus");
-    let mut server =
-        start_server(&["--save", save.to_str().unwrap(), "--wal", "--wal-sync-micros", "500"], &[]);
+    let mut server = start_server(&["--save", save.to_str().unwrap(), "--wal"], &[]);
 
     let addr = server.addr.clone();
     let (min_acked_tx, min_acked_rx) = std::sync::mpsc::channel::<()>();
@@ -199,6 +199,106 @@ fn sigkill_mid_ingest_stream_loses_no_acked_entry() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// An `INGEST` of `ops` pseudo-random operations, about 15 bytes each on
+/// the wire. Its self-kernel is quadratic in the trace, so preparing it
+/// keeps one worker busy for a long time: at 8,000 ops, about 0.8 s in
+/// the debug build these tests run (on a 2-vCPU x86-64 VM).
+fn slow_ingest_line(ops: usize) -> String {
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let kinds = ["read", "write", "lseek"];
+    let body: Vec<String> = (0..ops)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            format!("h{} {} {}", state % 4, kinds[(state >> 8) as usize % 3], (state >> 16) % 65536)
+        })
+        .collect();
+    format!("INGEST slow {}\n", body.join(";"))
+}
+
+/// Whether a reply has arrived on `conn`, without consuming it.
+fn has_replied(conn: &Connection) -> bool {
+    conn.writer.set_nonblocking(true).expect("nonblocking");
+    let replied = match conn.writer.peek(&mut [0u8; 1]) {
+        Ok(_) => true,
+        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => false,
+        Err(e) => panic!("peek failed: {e}"),
+    };
+    conn.writer.set_nonblocking(false).expect("blocking");
+    replied
+}
+
+/// The lost-ack race. Connection A sends a slow 8,000-op `INGEST`; about
+/// 50 ms later connection B sends `small_request`, whose items are the
+/// `(label, inline trace)` pairs in `small_items`. B is acked while A is
+/// still being prepared; the daemon is then killed. Every acked item of
+/// B must reload with its exact trace, which holds only if an ingest
+/// takes its id when its record is logged: replay stops at the first id
+/// gap, so an ack at an id past an unlogged one is lost. The log must be
+/// the one file `wal/shard0.log`, its records in id order.
+#[cfg(unix)]
+fn small_ack_during_a_slow_ingest_survives_sigkill(
+    tag: &str,
+    small_request: &str,
+    small_items: &[(&str, &str)],
+) {
+    let dir = tmpdir(tag);
+    let save = dir.join("corpus");
+    let mut server = start_server(&["--save", save.to_str().unwrap(), "--wal"], &[]);
+    let mut slow = Connection::open(&server.addr);
+    slow.writer.write_all(slow_ingest_line(8_000).as_bytes()).expect("slow INGEST sent");
+    slow.writer.flush().expect("slow INGEST flushed");
+    std::thread::sleep(Duration::from_millis(50));
+
+    let mut fast = Connection::open(&server.addr);
+    let reply = fast.roundtrip(small_request);
+    assert!(reply[0].starts_with("OK "), "the small request is acked: {reply:?}");
+    assert!(!has_replied(&slow), "the slow INGEST was still pending when {reply:?} arrived");
+    send_signal(&server.child, "-KILL");
+    let _ = server.child.wait();
+
+    let restored = load_index(&save, IndexOptions::default()).expect("durable root loads");
+    let entries = restored.entries();
+    for (label, wire) in small_items {
+        let expected = write_trace(&decode_trace_inline(wire).expect("test trace decodes"));
+        assert!(
+            entries.iter().any(|e| e.label == *label && write_trace(&e.trace) == expected),
+            "acked item {label} (reply {reply:?}) lost after SIGKILL: the reload has {} entries",
+            entries.len()
+        );
+    }
+    let logs: Vec<PathBuf> =
+        std::fs::read_dir(wal_dir(&save)).expect("wal dir").map(|e| e.unwrap().path()).collect();
+    assert_eq!(logs, [wal_log_path(&save)], "one log file");
+    let log = scan_wal(&std::fs::read(wal_log_path(&save)).unwrap());
+    let ids: Vec<u32> = log.records.iter().map(|r| r.id).collect();
+    assert!(ids.windows(2).all(|w| w[0] < w[1]), "log order is id order: {ids:?}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[cfg(unix)]
+#[test]
+fn small_ingest_acked_during_a_slow_one_survives_sigkill() {
+    let wire = "h0 write 4096;h0 read 512;h0 write 8";
+    small_ack_during_a_slow_ingest_survives_sigkill(
+        "race-ingest",
+        &format!("INGEST quick {wire}\n"),
+        &[("quick", wire)],
+    );
+}
+
+#[cfg(unix)]
+#[test]
+fn small_batch_acked_during_a_slow_ingest_survives_sigkill() {
+    let (first, second) = ("h0 write 64;h0 read 32", "h0 lseek 0;h0 write 1024;h0 write 7");
+    small_ack_during_a_slow_ingest_survives_sigkill(
+        "race-batch",
+        &format!("BATCH INGEST 2\nquick0 {first}\nquick1 {second}\n"),
+        &[("quick0", first), ("quick1", second)],
+    );
+}
+
 /// Crash point `after-ack-before-fsync`: the server aborts the instant
 /// an ingest `OK` has left the socket. Under `--wal` the name is a
 /// misnomer the test exists to prove: the fsync happened *before* the
@@ -208,7 +308,7 @@ fn abort_right_after_the_ack_finds_the_record_already_durable() {
     let dir = tmpdir("after-ack");
     let save = dir.join("corpus");
     let mut server = start_server(
-        &["--save", save.to_str().unwrap(), "--wal", "--wal-sync-micros", "500"],
+        &["--save", save.to_str().unwrap(), "--wal"],
         &[("KASTIO_CRASH_POINT", "after-ack-before-fsync")],
     );
     let mut conn = Connection::open(&server.addr);
@@ -225,7 +325,7 @@ fn abort_right_after_the_ack_finds_the_record_already_durable() {
 }
 
 /// Crash point `mid-record`: the appender aborts with *half a record
-/// physically fsync'd* to the shard log. The acked prefix must reload
+/// physically fsync'd* to the log. The acked prefix must reload
 /// exactly; the torn tail must be truncated, not parsed and not fatal.
 #[test]
 fn abort_mid_record_leaves_a_torn_tail_that_recovery_truncates() {
@@ -234,7 +334,7 @@ fn abort_mid_record_leaves_a_torn_tail_that_recovery_truncates() {
     // Skip the first 3 hits: ingests 1-3 complete (and are acked), the
     // 4th append aborts halfway through its own record.
     let mut server = start_server(
-        &["--save", save.to_str().unwrap(), "--wal", "--wal-sync-micros", "500"],
+        &["--save", save.to_str().unwrap(), "--wal"],
         &[("KASTIO_CRASH_POINT", "mid-record"), ("KASTIO_CRASH_SKIP", "3")],
     );
     let mut conn = Connection::open(&server.addr);
@@ -255,8 +355,8 @@ fn abort_mid_record_leaves_a_torn_tail_that_recovery_truncates() {
     }
     assert!(restored.entries().iter().all(|e| e.name != "e3"), "no partial record is ever applied");
 
-    // Recovery truncated the torn tail in place: the logs shrank, and
-    // what remains scans clean shard by shard.
+    // Recovery truncated the torn tail in place: the log shrank, and
+    // what remains scans clean.
     let clean_bytes = wal_bytes_on_disk(&save);
     assert!(clean_bytes < torn_bytes, "torn tail truncated ({clean_bytes} !< {torn_bytes})");
     for entry in std::fs::read_dir(wal_dir(&save)).expect("wal dir") {
@@ -279,7 +379,7 @@ fn abort_between_snapshot_rename_and_wal_truncate_replays_idempotently() {
     // Skip hit 0: the establishing snapshot at startup crosses the same
     // crash point. Hit 1 is the SAVE this test provokes.
     let mut server = start_server(
-        &["--save", save.to_str().unwrap(), "--wal", "--wal-sync-micros", "500"],
+        &["--save", save.to_str().unwrap(), "--wal"],
         &[
             ("KASTIO_CRASH_POINT", "after-snapshot-rename-before-truncate"),
             ("KASTIO_CRASH_SKIP", "1"),
@@ -319,8 +419,7 @@ fn abort_between_snapshot_rename_and_wal_truncate_replays_idempotently() {
 fn startup_establishes_a_snapshot_and_resets_the_wal() {
     let dir = tmpdir("establish");
     let save = dir.join("corpus");
-    let mut server =
-        start_server(&["--save", save.to_str().unwrap(), "--wal", "--wal-sync-micros", "500"], &[]);
+    let mut server = start_server(&["--save", save.to_str().unwrap(), "--wal"], &[]);
     let mut conn = Connection::open(&server.addr);
     for i in 0..4 {
         conn.roundtrip(&format!("INGEST flash {}\n", wire_trace(i)));
@@ -364,15 +463,7 @@ fn sigkill_under_memory_pressure_loses_no_acked_entry() {
     let dir = tmpdir("sigkill-pressure");
     let save = dir.join("corpus");
     let mut server = start_server(
-        &[
-            "--save",
-            save.to_str().unwrap(),
-            "--wal",
-            "--wal-sync-micros",
-            "500",
-            "--max-memory-bytes",
-            "8192",
-        ],
+        &["--save", save.to_str().unwrap(), "--wal", "--max-memory-bytes", "8192"],
         &[],
     );
     let mut conn = Connection::open(&server.addr);
