@@ -258,8 +258,8 @@ pub struct SnapshotStatus {
     /// WAL bytes appended since startup (frames included). Overlaid like
     /// `wal_records`.
     pub wal_bytes: u64,
-    /// WAL group-commit fsyncs since startup (one per commit pass with
-    /// new records). Overlaid like `wal_records`.
+    /// WAL group-commit fsyncs since startup (one per group a leader
+    /// fsyncs). Overlaid like `wal_records`.
     pub wal_fsyncs: u64,
     /// WAL records replayed by the last [`crate::load_index`] recovery
     /// (0 for a legacy-layout or snapshot-only load). Set at load time,

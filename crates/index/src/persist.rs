@@ -40,7 +40,7 @@ use kastio_trace::{read_corpus, CorpusIoError, Trace};
 use crate::entry::IndexEntry;
 use crate::fault::{crash_point, CRASH_AFTER_SNAPSHOT_RENAME};
 use crate::index::{IndexOptions, PatternIndex};
-use crate::wal::{log_files, replace_durably, WalManager};
+use crate::wal::{create_dir_durably, log_files, replace_durably, WalManager};
 
 /// What a successful [`save_index_wal`] wrote: the entry count and the
 /// corpus generation the snapshot covers (the `SAVE` verb reports both).
@@ -97,7 +97,8 @@ pub fn save_index_wal(
     entries.truncate(contiguous_prefix(&entries));
     let generation = entries.len() as u64;
     let started = std::time::Instant::now();
-    let result = fs::create_dir_all(dir).and_then(|()| write_snapshot_file(dir, entries));
+    let result =
+        create_dir_durably(dir, || Ok(())).and_then(|()| write_snapshot_file(dir, entries));
     if let (Ok(_), Some(wal)) = (&result, wal) {
         crash_point(CRASH_AFTER_SNAPSHOT_RENAME);
         // Non-fatal (see above): the snapshot is already durable; stale
@@ -491,7 +492,7 @@ mod tests {
     fn failed_save_leaves_previous_snapshot_bit_for_bit() {
         let dir = tmpdir("fault");
         let index = sample_index(IndexOptions::default());
-        let wal = WalManager::open(&dir, 1, Duration::from_micros(500)).unwrap();
+        let wal = WalManager::open(&dir, 1, Duration::ZERO).unwrap();
         save_index_wal(&index, &dir, Some(&wal)).unwrap();
         let before = dir_bytes(&dir);
 
@@ -523,7 +524,7 @@ mod tests {
     fn stray_temp_file_is_ignored_and_overwritten_by_the_next_save() {
         let dir = tmpdir("stray-tmp");
         let index = sample_index(IndexOptions::default());
-        let wal = WalManager::open(&dir, 1, Duration::from_micros(500)).unwrap();
+        let wal = WalManager::open(&dir, 1, Duration::ZERO).unwrap();
         save_index_wal(&index, &dir, Some(&wal)).unwrap();
         index.ingest("extra", "flash", parse_trace("h0 write 64\n").unwrap()).unwrap();
         append_acked(&wal, 2, "extra", "flash", "h0 write 64\n");
@@ -716,7 +717,7 @@ mod tests {
     fn durable_root_recovers_snapshot_plus_wal_replay() {
         let dir = tmpdir("walroot");
         let index = sample_index(IndexOptions::default());
-        let wal = WalManager::open(&dir, 2, Duration::from_micros(500)).unwrap();
+        let wal = WalManager::open(&dir, 2, Duration::ZERO).unwrap();
         append_acked(&wal, 0, "ckpt", "flash", &"h0 write 1048576\n".repeat(8));
         append_acked(&wal, 1, "scan", "posix", &"h0 read 4096\n".repeat(8));
 
@@ -774,7 +775,7 @@ mod tests {
 
         // The daemon's start-up: open the log, establish a snapshot,
         // empty the log and delete the per-shard ones.
-        let wal = WalManager::open(&dir, 4, Duration::from_micros(500)).unwrap();
+        let wal = WalManager::open(&dir, 4, Duration::ZERO).unwrap();
         save_index_wal(&loaded, &dir, Some(&wal)).unwrap();
         wal.truncate_all().unwrap();
         drop(wal);
@@ -794,7 +795,7 @@ mod tests {
     fn every_save_makes_the_snapshot_durable_before_compacting() {
         let dir = tmpdir("order");
         crate::wal::EVENTS.take();
-        let wal = WalManager::open(&dir, 2, Duration::from_micros(500)).unwrap();
+        let wal = WalManager::open(&dir, 2, Duration::ZERO).unwrap();
         // The log's entry, wal/'s, and that of the save root `open`
         // created.
         let fsync = |path: &Path| format!("fsync {}", path.display());
@@ -822,11 +823,40 @@ mod tests {
     }
 
     #[test]
+    fn a_first_save_makes_the_directories_it_creates_durable() {
+        let base = tmpdir("fresh-root");
+        fs::create_dir_all(&base).unwrap();
+        let dir = base.join("a").join("b");
+        let index = sample_index(IndexOptions::default());
+        crate::wal::EVENTS.take();
+        save_index_wal(&index, &dir, None).unwrap();
+
+        // b's entry lives in a, a's in the base, and only then does the
+        // snapshot go in.
+        let fsync = |path: &Path| format!("fsync {}", path.display());
+        let snapshot = snapshot_path(&dir);
+        let tmp = PathBuf::from(format!("{}.tmp", snapshot.display()));
+        let expected = [
+            fsync(&base.join("a")),
+            fsync(&base),
+            fsync(&tmp),
+            format!("rename {} -> {}", tmp.display(), snapshot.display()),
+            fsync(&dir),
+        ];
+        assert_eq!(crate::wal::EVENTS.take(), expected);
+
+        // A save into a directory that exists creates nothing to sync.
+        save_index_wal(&index, &dir, None).unwrap();
+        assert_eq!(crate::wal::EVENTS.take(), expected[2..]);
+        fs::remove_dir_all(&base).unwrap();
+    }
+
+    #[test]
     fn torn_wal_tail_is_truncated_not_fatal() {
         use std::io::Write as _;
         let dir = tmpdir("waltear");
         let index = sample_index(IndexOptions::default());
-        let wal = WalManager::open(&dir, 1, Duration::from_micros(500)).unwrap();
+        let wal = WalManager::open(&dir, 1, Duration::ZERO).unwrap();
         save_index_wal(&index, &dir, Some(&wal)).unwrap();
         append_acked(&wal, 2, "extra", "flash", "h0 write 64\n");
         drop(wal);
@@ -851,7 +881,7 @@ mod tests {
     fn replay_stops_at_an_id_gap() {
         let dir = tmpdir("walgap");
         let index = sample_index(IndexOptions::default());
-        let wal = WalManager::open(&dir, 1, Duration::from_micros(500)).unwrap();
+        let wal = WalManager::open(&dir, 1, Duration::ZERO).unwrap();
         save_index_wal(&index, &dir, Some(&wal)).unwrap();
         // Record id 2 never made it to disk; id 3 did (possible only in
         // a root whose log is cut short by a failed append, or one written

@@ -1,4 +1,4 @@
-//! The write-ahead log: one file, with group-commit fsync.
+//! The write-ahead log: one file, with leader/follower group commit.
 //!
 //! [`WalManager`] closes the durability hole the atomic snapshots leave
 //! open: the window *between* saves. Every acknowledged `INGEST` /
@@ -11,20 +11,21 @@
 //!
 //! # Group commit
 //!
-//! Fsync per record would put a disk flush on every ingest's latency.
-//! Instead appends are acknowledged in batches: [`WalManager::append`]
-//! writes the record under the log lock and takes a commit sequence
-//! number; a background thread wakes every `sync_interval` (the daemon
-//! uses [`GROUP_COMMIT_INTERVAL`]), reads the highest appended sequence,
-//! fsyncs the log, and only then advances the durable watermark and wakes
-//! waiters. It holds the log lock only to clone the append handle and
-//! fsyncs the clone, so an append never waits out an fsync. Because a
-//! sequence number is taken *after* its `write_all` returns, an fsync
-//! issued at watermark `t` provably covers every record with sequence ≤
-//! `t` — also when a compaction swaps the handle in between, because
-//! compaction fsyncs the file it installs. Waiters also fsync inline if
-//! the watermark stalls, so a wedged sync thread delays acks rather than
-//! losing them.
+//! [`WalManager::append`] writes the record under the log lock and takes
+//! a commit sequence number. The first waiter whose record is not yet
+//! durable while no fsync is in flight becomes the *leader*: it reads the
+//! highest appended sequence, fsyncs the log at once, and only then
+//! advances the durable watermark and wakes the other waiters. Waiters
+//! that arrive during that fsync park; on waking, those it covered
+//! return, and the first one still uncovered leads the next group. This is
+//! the leader/follower flush of PostgreSQL's `XLogFlush`: there is no
+//! sync thread and no timer, a lone ack waits for exactly one fsync, and
+//! a burst of acks shares one. The leader holds the log lock only to
+//! clone the append handle and fsyncs the clone, so an append never waits
+//! out an fsync. Because a sequence number is taken *after* its
+//! `write_all` returns, an fsync issued at watermark `t` provably covers
+//! every record with sequence ≤ `t` — also when a compaction swaps the
+//! handle in between, because compaction fsyncs the file it installs.
 //!
 //! An fsync failure is **sticky**: after the kernel has failed a flush,
 //! previously-written dirty pages may already have been dropped, so no
@@ -63,36 +64,30 @@ use crate::entry::IndexEntry;
 use crate::fault::{crash_point, crash_point_armed, CRASH_MID_RECORD};
 use crate::index::SnapshotStatus;
 
-/// The group-commit interval the serve daemon runs its log with: an ack
-/// waits at most about this long for the fsync that covers it.
-pub const GROUP_COMMIT_INTERVAL: Duration = Duration::from_millis(2);
-
-/// How long a durability waiter sleeps before concluding the sync
-/// thread has stalled and fsyncing inline.
-const STALL_TIMEOUT: Duration = Duration::from_millis(20);
-
 /// The group-commit watermark pair: `appended` is the highest sequence
 /// whose record bytes are fully written; `durable` the highest covered
 /// by an fsync. `appended ≥ durable` always.
+#[derive(Default)]
 struct CommitState {
     appended: u64,
     durable: u64,
-    /// First fsync failure, sticky (see the module docs).
+    /// A leader's fsync is in flight; other waiters park until it ends.
+    syncing: bool,
+    /// First fsync or append failure, sticky (see the module docs).
     failed: Option<String>,
 }
 
 /// The write-ahead log of one durable corpus directory.
 ///
-/// Shared behind an `Arc`: the server's ingest commits append, a
-/// background thread group-commits, snapshots compact.
+/// Shared behind an `Arc`: the server's ingest commits append, their
+/// durability waits fsync, snapshots compact.
 pub struct WalManager {
     /// The append handle of `path`. Appends, compaction and truncation
-    /// hold the lock; the group commit only clones the handle under it.
+    /// hold the lock; a commit leader only clones the handle under it.
     log: Mutex<File>,
     path: PathBuf,
     commit: Mutex<CommitState>,
     committed: Condvar,
-    sync_interval: Duration,
     records: AtomicU64,
     bytes: AtomicU64,
     fsyncs: AtomicU64,
@@ -100,10 +95,7 @@ pub struct WalManager {
 
 impl std::fmt::Debug for WalManager {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WalManager")
-            .field("path", &self.path)
-            .field("sync_interval", &self.sync_interval)
-            .finish_non_exhaustive()
+        f.debug_struct("WalManager").field("path", &self.path).finish_non_exhaustive()
     }
 }
 
@@ -131,6 +123,28 @@ fn sync_dir(dir: &Path) -> io::Result<()> {
     File::open(open)?.sync_all()?;
     log_event(|| format!("fsync {}", dir.display()));
     Ok(())
+}
+
+/// Creates directory `dir` and any missing ancestors, runs `fill` (which
+/// makes durable whatever it puts in `dir`), and then fsyncs the parent
+/// of each directory it created, deepest first, so none of them can
+/// vanish in a power cut. A `dir` that already existed costs no fsync
+/// beyond `fill`'s own.
+pub(crate) fn create_dir_durably<T>(
+    dir: &Path,
+    fill: impl FnOnce() -> io::Result<T>,
+) -> io::Result<T> {
+    let created: Vec<PathBuf> = dir
+        .ancestors()
+        .take_while(|d| !d.as_os_str().is_empty() && !d.is_dir())
+        .map(Path::to_path_buf)
+        .collect();
+    fs::create_dir_all(dir)?;
+    let filled = fill()?;
+    for new in &created {
+        sync_dir(new.parent().expect("a created directory has a parent"))?;
+    }
+    Ok(filled)
 }
 
 /// Every `shard*.log` in the WAL directory `wal`: the one log and, in a
@@ -174,14 +188,14 @@ pub(crate) fn replace_durably(
 
 impl WalManager {
     /// Opens (creating as needed) the log `<dir>/wal/shard0.log` and
-    /// fsyncs `wal/`, `<dir>`, and the parent of every directory it had
-    /// to create, so the log's directory entry survives a power cut even
-    /// on a fresh root. Then starts the group-commit thread, which holds
-    /// only a `Weak` reference, so dropping the last `Arc` retires it
-    /// within one interval.
+    /// fsyncs `wal/` and the parent of every directory it had to create,
+    /// so the log's directory entry survives a power cut even on a fresh
+    /// root. No thread starts: the waiters fsync the log themselves (see
+    /// [`Self::wait_durable`]).
     ///
-    /// `_shards` is ignored: the log is one file whatever the index's
-    /// shard count. It stays for the callers that still pass it.
+    /// `_shards` and `_sync_interval` are ignored: the log is one file
+    /// whatever the index's shard count, and commits run on demand, not
+    /// on a timer. Both stay for the callers that still pass them.
     ///
     /// # Errors
     ///
@@ -190,43 +204,24 @@ impl WalManager {
     pub fn open(
         dir: &Path,
         _shards: usize,
-        sync_interval: Duration,
+        _sync_interval: Duration,
     ) -> io::Result<Arc<WalManager>> {
         let wal = wal_dir(dir);
-        let created: Vec<PathBuf> = wal
-            .ancestors()
-            .take_while(|d| !d.as_os_str().is_empty() && !d.is_dir())
-            .map(Path::to_path_buf)
-            .collect();
-        fs::create_dir_all(&wal)?;
         let path = wal_log_path(dir);
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        // The log's entry lives in wal/, wal/'s in <dir>, and each new
-        // directory's in its parent.
-        sync_dir(&wal)?;
-        for parent in wal.ancestors().skip(1) {
-            sync_dir(parent)?;
-            if !created.iter().any(|d| d == parent) {
-                break;
-            }
-        }
-        let manager = Arc::new(WalManager {
+        let file = create_dir_durably(&wal, || {
+            let file = OpenOptions::new().create(true).append(true).open(&path)?;
+            sync_dir(&wal)?; // the log's entry
+            Ok(file)
+        })?;
+        Ok(Arc::new(WalManager {
             log: Mutex::new(file),
             path,
-            commit: Mutex::new(CommitState { appended: 0, durable: 0, failed: None }),
+            commit: Mutex::new(CommitState::default()),
             committed: Condvar::new(),
-            sync_interval,
             records: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
             fsyncs: AtomicU64::new(0),
-        });
-        let weak = Arc::downgrade(&manager);
-        std::thread::Builder::new().name("kastio-wal-sync".to_string()).spawn(move || loop {
-            std::thread::sleep(weak.upgrade().map_or(Duration::ZERO, |m| m.sync_interval));
-            let Some(manager) = weak.upgrade() else { return };
-            manager.sync_once();
-        })?;
-        Ok(manager)
+        }))
     }
 
     /// Appends one record to the log and returns the commit sequence
@@ -288,12 +283,15 @@ impl WalManager {
         Ok(state.appended)
     }
 
-    /// Blocks until an fsync covers commit sequence `seq`.
+    /// Blocks until an fsync covers commit sequence `seq`. If no fsync
+    /// is in flight, the caller leads: it fsyncs everything appended so
+    /// far itself. Otherwise it waits for the leader, and leads the next
+    /// group if that fsync did not cover `seq`.
     ///
     /// # Errors
     ///
-    /// The sticky fsync failure, if one occurred before `seq` became
-    /// durable. Callers must not ack in that case.
+    /// The sticky fsync or append failure, if one occurred before `seq`
+    /// became durable. Callers must not ack in that case.
     pub fn wait_durable(&self, seq: u64) -> io::Result<()> {
         let mut state = lock(&self.commit);
         loop {
@@ -303,43 +301,30 @@ impl WalManager {
             if let Some(failed) = &state.failed {
                 return Err(io::Error::other(failed.clone()));
             }
-            let (guard, timeout) = self
-                .committed
-                .wait_timeout(state, STALL_TIMEOUT)
-                .unwrap_or_else(|p| p.into_inner());
-            state = guard;
-            if timeout.timed_out() && state.durable < seq && state.failed.is_none() {
-                // The sync thread missed its window (descheduled, or the
-                // manager is mid-teardown): commit inline rather than
-                // holding the ack hostage.
-                drop(state);
-                self.sync_once();
-                state = lock(&self.commit);
+            if state.syncing {
+                state = self.committed.wait(state).unwrap_or_else(|p| p.into_inner());
+                continue;
             }
+            // Lead. Nothing may return between setting `syncing` and
+            // clearing it, or every later ack would wait forever. The log
+            // lock is held only to clone the handle, never across the
+            // fsync.
+            state.syncing = true;
+            let target = state.appended;
+            drop(state);
+            let synced = lock(&self.log).try_clone().and_then(|file| file.sync_data());
+            state = lock(&self.commit);
+            state.syncing = false;
+            match synced {
+                Ok(()) => {
+                    log_event(|| format!("fsync {}", self.path.display()));
+                    self.fsyncs.fetch_add(1, Ordering::Release);
+                    state.durable = target;
+                }
+                Err(e) => state.failed = Some(format!("fsync {} failed: {e}", self.path.display())),
+            }
+            self.committed.notify_all();
         }
-    }
-
-    /// One group commit: fsync the log, then advance the durable
-    /// watermark to what had been appended when the pass began. The log
-    /// lock is held only to clone the handle, never across the fsync.
-    fn sync_once(&self) {
-        let target = {
-            let state = lock(&self.commit);
-            if state.appended <= state.durable || state.failed.is_some() {
-                return;
-            }
-            state.appended
-        };
-        let synced = lock(&self.log).try_clone().and_then(|file| file.sync_data());
-        let mut state = lock(&self.commit);
-        match synced {
-            Ok(()) => {
-                self.fsyncs.fetch_add(1, Ordering::Relaxed);
-                state.durable = state.durable.max(target);
-            }
-            Err(e) => state.failed = Some(format!("fsync {} failed: {e}", self.path.display())),
-        }
-        self.committed.notify_all();
     }
 
     /// Rewrites the log keeping only records with `id ≥ keep_from` — the
@@ -394,11 +379,13 @@ impl WalManager {
     }
 
     /// Copies the live WAL counters into a [`SnapshotStatus`] (the form
-    /// `STATS` / `METRICS` report them in).
+    /// `STATS` / `METRICS` report them in). Every fsync covers at least
+    /// one record counted before it, and the fsync count is read first,
+    /// so every copy has `wal_fsyncs ≤ wal_records`.
     pub fn overlay(&self, status: &mut SnapshotStatus) {
+        status.wal_fsyncs = self.fsyncs.load(Ordering::Acquire);
         status.wal_records = self.records.load(Ordering::Relaxed);
         status.wal_bytes = self.bytes.load(Ordering::Relaxed);
-        status.wal_fsyncs = self.fsyncs.load(Ordering::Relaxed);
     }
 }
 
@@ -427,10 +414,64 @@ mod tests {
         scan_wal(&fs::read(wal_log_path(dir)).unwrap()).records.iter().map(|r| r.id).collect()
     }
 
+    fn fsyncs(wal: &WalManager) -> u64 {
+        let mut status = SnapshotStatus::default();
+        wal.overlay(&mut status);
+        status.wal_fsyncs
+    }
+
+    #[test]
+    fn a_lone_waiter_fsyncs_the_log_itself() {
+        let dir = tmpdir("lone");
+        let wal = WalManager::open(&dir, 1, Duration::ZERO).unwrap();
+        EVENTS.take();
+        let seq = wal.append(&record(0)).unwrap();
+        assert_eq!(EVENTS.take(), Vec::<String>::new(), "an append fsyncs nothing");
+
+        // No thread and no timer: the waiter's own call runs the fsync.
+        wal.wait_durable(seq).unwrap();
+        assert_eq!(EVENTS.take(), [format!("fsync {}", wal_log_path(&dir).display())]);
+        assert_eq!(fsyncs(&wal), 1);
+
+        // A record already durable costs no further fsync.
+        wal.wait_durable(seq).unwrap();
+        assert_eq!(EVENTS.take(), Vec::<String>::new());
+        assert_eq!(fsyncs(&wal), 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_waiter_covered_by_the_fsync_in_flight_issues_none() {
+        let dir = tmpdir("follower");
+        let wal = WalManager::open(&dir, 1, Duration::ZERO).unwrap();
+        let first = wal.append(&record(0)).unwrap();
+        let second = wal.append(&record(1)).unwrap();
+        std::thread::scope(|scope| {
+            // Holding the log lock parks the leader before its fsync.
+            let held = lock(&wal.log);
+            let leader = scope.spawn(|| wal.wait_durable(first));
+            while !lock(&wal.commit).syncing {
+                std::thread::yield_now();
+            }
+            let follower = scope.spawn(|| wal.wait_durable(second));
+            // Let the follower park behind the fsync in flight. If it
+            // arrives only after that fsync, it finds its record covered,
+            // so the count below holds either way.
+            std::thread::sleep(Duration::from_millis(20));
+            drop(held);
+            leader.join().unwrap().unwrap();
+            follower.join().unwrap().unwrap();
+        });
+        // The leader's fsync covered both records; the follower, which
+        // arrived while it was in flight, found its own covered.
+        assert_eq!(fsyncs(&wal), 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn append_wait_then_rescan_recovers_every_record() {
         let dir = tmpdir("roundtrip");
-        let wal = WalManager::open(&dir, 2, Duration::from_micros(500)).unwrap();
+        let wal = WalManager::open(&dir, 2, Duration::ZERO).unwrap();
         let mut last = 0;
         for id in 0..6 {
             last = wal.append(&record(id)).unwrap();
@@ -447,14 +488,14 @@ mod tests {
         wal.overlay(&mut status);
         assert_eq!(status.wal_records, 6);
         assert_eq!(status.wal_bytes, scan.durable_bytes);
-        assert!(status.wal_fsyncs >= 1, "at least one group commit ran");
+        assert_eq!(status.wal_fsyncs, 1, "one wait, one fsync for all six records");
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn compact_keeps_only_records_at_or_past_the_generation() {
         let dir = tmpdir("compact");
-        let wal = WalManager::open(&dir, 2, Duration::from_micros(500)).unwrap();
+        let wal = WalManager::open(&dir, 2, Duration::ZERO).unwrap();
         let mut last = 0;
         for id in 0..8 {
             last = wal.append(&record(id)).unwrap();
@@ -491,7 +532,7 @@ mod tests {
             let path = wal_dir(&dir).join(format!("shard{shard}.log"));
             fs::write(path, encode_wal_record(&record(shard))).unwrap();
         }
-        let wal = WalManager::open(&dir, 3, Duration::from_micros(500)).unwrap();
+        let wal = WalManager::open(&dir, 3, Duration::ZERO).unwrap();
         let last = wal.append(&record(0)).unwrap();
         wal.wait_durable(last).unwrap();
         EVENTS.take();
@@ -509,7 +550,7 @@ mod tests {
     #[test]
     fn concurrent_commits_log_every_record_in_id_order() {
         let dir = tmpdir("concurrent");
-        let wal = WalManager::open(&dir, 4, Duration::from_micros(200)).unwrap();
+        let wal = WalManager::open(&dir, 4, Duration::ZERO).unwrap();
         let index = PatternIndex::new(IndexOptions { shards: 4, ..IndexOptions::default() });
         std::thread::scope(|scope| {
             for t in 0..4u32 {
@@ -541,6 +582,10 @@ mod tests {
             );
             assert_eq!(record.trace, entry.trace);
         }
+        // Each commit pass covers at least one waiter, and waiters that
+        // overlap share a pass.
+        let fsyncs = fsyncs(&wal);
+        assert!((1..=64).contains(&fsyncs), "{fsyncs} fsyncs for 64 acks");
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -42,7 +42,6 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use kastio::index::protocol::{encode_trace_inline, read_reply, PROTOCOL_VERSION};
-use kastio::index::wal::GROUP_COMMIT_INTERVAL;
 use kastio::loadgen::{dry_run_trace, LoadConfig, ScenarioKind};
 use kastio::pattern::explain::explain_similarity;
 use kastio::workloads::{export_dataset, import_dataset};
@@ -131,7 +130,7 @@ const HELP_TOPICS: &[(&str, &str)] = &[
          --wal (requires --save) adds a write-ahead log,\n\
          <save-dir>/wal/shard0.log: every INGEST/BATCH INGEST is logged\n\
          as its ids are allocated, so the log is in id order, and\n\
-         fsync'd (group commit every 2 ms) before its OK reply, so an\n\
+         fsync'd (concurrent acks share one) before its OK reply, so an\n\
          acked ingest survives kill -9 and power loss; a BATCH INGEST\n\
          is all-or-nothing. A snapshot compacts the log only once it is\n\
          durable, and restarts recover as last snapshot + WAL replay\n\
@@ -513,7 +512,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     // the ids this run is about to assign.
     let wal = match (&save_dir, flags.wal) {
         (Some(dir), true) => {
-            let wal = kastio::WalManager::open(dir, flags.shards, GROUP_COMMIT_INTERVAL)
+            let wal = kastio::WalManager::open(dir, flags.shards, Duration::ZERO)
                 .map_err(|e| format!("cannot open the WAL under {}: {e}", dir.display()))?;
             kastio::save_index_wal(&index, dir, Some(&wal))
                 .map_err(|e| format!("establishing snapshot in {} failed: {e}", dir.display()))?;
