@@ -1,16 +1,16 @@
-//! Read-side concurrency: what the sharded, `&self`-querying index buys a
+//! Read-side concurrency: what the `&self`-querying index buys a
 //! multi-client daemon over the old single-`Mutex` scheme.
 //!
 //! Both regimes answer the same workload — `CLIENTS` threads, each
 //! issuing `QUERIES_PER_CLIENT` distinct k-NN queries against the same
 //! corpus — and differ only in how the index is shared:
 //!
-//! * `single_lock` — the pre-sharding daemon design: one
+//! * `single_lock` — the first daemon design: one
 //!   `Mutex<PatternIndex>` locked for the duration of each query, so
 //!   clients are strictly serialised no matter how many cores exist;
-//! * `sharded_read_concurrent` — the current design: a plain
-//!   `&PatternIndex` (shards + interior mutability), every client
-//!   querying concurrently under shard *read* locks.
+//! * `read_concurrent` — the current design: a plain `&PatternIndex`,
+//!   every client querying concurrently, each holding the corpus *read*
+//!   lock only for its signature scan.
 //!
 //! The pairwise LRU is disabled so the benchmark isolates *lock*
 //! behaviour: with caching on, repeat queries collapse to hash lookups
@@ -27,7 +27,6 @@ use kastio_workloads::{Dataset, DatasetShape};
 
 const CLIENTS: usize = 4;
 const QUERIES_PER_CLIENT: usize = 8;
-const SHARDS: usize = 4;
 
 fn corpus() -> Vec<(String, String, Trace)> {
     let shape = DatasetShape { bases_a: 4, bases_b: 2, bases_c: 2, bases_d: 2, copies: 3 };
@@ -52,9 +51,8 @@ fn probes() -> Vec<Vec<Trace>> {
         .collect()
 }
 
-fn build_index(shards: usize) -> PatternIndex {
+fn build_index() -> PatternIndex {
     let index = PatternIndex::new(IndexOptions {
-        shards,
         cache_capacity: 0, // isolate locking, not caching
         prefilter: PrefilterConfig { min_candidates: 8, per_k: 2, ..PrefilterConfig::default() },
         ..IndexOptions::default()
@@ -68,8 +66,9 @@ fn build_index(shards: usize) -> PatternIndex {
 fn bench_concurrent_query(c: &mut Criterion) {
     // Read concurrency buys wall-clock only where hardware threads exist:
     // on a single-core host the two regimes tie (which still demonstrates
-    // that sharding adds no locking overhead); with H threads the sharded
-    // regime approaches min(CLIENTS, H)× the single-lock throughput.
+    // that the corpus lock adds no overhead); with H threads the
+    // read-concurrent regime approaches min(CLIENTS, H)× the single-lock
+    // throughput.
     let hardware = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
     println!(
         "concurrent_query: {CLIENTS} clients x {QUERIES_PER_CLIENT} queries, \
@@ -81,7 +80,7 @@ fn bench_concurrent_query(c: &mut Criterion) {
     let probes = probes();
 
     // Baseline: every query takes the one global lock (PR 2's daemon).
-    let locked = Mutex::new(build_index(1));
+    let locked = Mutex::new(build_index());
     group.bench_function("single_lock", |bencher| {
         bencher.iter(|| {
             std::thread::scope(|scope| {
@@ -98,16 +97,17 @@ fn bench_concurrent_query(c: &mut Criterion) {
         });
     });
 
-    // Sharded: the same traffic against `&PatternIndex`, no outer lock.
-    let sharded = build_index(SHARDS);
-    group.bench_function("sharded_read_concurrent", |bencher| {
+    // Read-concurrent: the same traffic against `&PatternIndex`, no outer
+    // lock.
+    let shared = build_index();
+    group.bench_function("read_concurrent", |bencher| {
         bencher.iter(|| {
             std::thread::scope(|scope| {
                 for client_probes in &probes {
-                    let sharded = &sharded;
+                    let shared = &shared;
                     scope.spawn(move || {
                         for probe in client_probes {
-                            black_box(sharded.query(black_box(probe), 3));
+                            black_box(shared.query(black_box(probe), 3));
                         }
                     });
                 }

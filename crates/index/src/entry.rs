@@ -6,11 +6,10 @@ use kastio_trace::{PatternSignature, Trace};
 
 /// Dense identifier of an entry inside one [`crate::PatternIndex`].
 ///
-/// Ids are assigned in ingestion order and never reused; they are only
-/// meaningful within the index that issued them. The id also fixes the
-/// entry's placement in a sharded index — entry `i` lives in shard
-/// `i % shards` (see the [`crate::PatternIndex`] shard-assignment
-/// invariant).
+/// Ids are assigned in commit order, contiguously from 0, and never
+/// reused; they are only meaningful within the index that issued them.
+/// The id is also the entry's position in the corpus: entry `i` sits at
+/// index `i` of the [`crate::PatternIndex`]'s entry vector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EntryId(pub u32);
 
@@ -59,8 +58,9 @@ pub struct IndexEntry {
 /// the prefix-sum slot derived from it.
 const OP_COST_BYTES: usize = 48;
 
-/// Fixed per-entry overhead: the [`IndexEntry`] struct, string headers,
-/// signature, vector headers, and the shard's sorted-insert slot.
+/// Fixed per-entry overhead: the [`IndexEntry`] struct in its `Arc`
+/// allocation, string headers, vector headers, and the corpus slots of
+/// its handle and signature.
 const ENTRY_BASE_BYTES: usize = 192;
 
 /// Approximate resident bytes an entry built from `name`, `label` and

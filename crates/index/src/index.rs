@@ -7,50 +7,43 @@
 //! full Kast kernel evaluations for only the prefiltered candidate subset
 //! (minus whatever the LRU cache already knows).
 //!
-//! # Sharding and concurrency
+//! # One corpus, locked only to scan or append
 //!
-//! The corpus is split across `S` shards (configured by
-//! [`IndexOptions::shards`]). Every mutable accelerator — the shared
-//! [`TokenInterner`], the index-wide striped pairwise-kernel cache
+//! The corpus is one id-ordered vector of [`Arc`] entry handles plus a
+//! signature column, under one `RwLock`: the entry with [`EntryId`] `i`
+//! sits at position `i`. Every other mutable accelerator — the shared
+//! [`TokenInterner`], the striped pairwise-kernel cache
 //! ([`crate::lru::SharedKernelCache`]), the per-query self-kernel memo
-//! and the work counters — sits behind interior mutability, so both
-//! [`PatternIndex::query`] and [`PatternIndex::ingest`] take `&self`: any
-//! number of threads can share one index behind a plain `Arc` with no
-//! external lock. A query takes *read* locks on every shard (so
-//! concurrent queries never serialise on each other); an ingest
-//! write-locks only the one shard that owns the new entry, leaving
-//! queries on the other `S − 1` shards untouched. The kernel cache is
-//! shared by all shards (striped internally to keep contention low), so
-//! a hot query warms it once — not once per shard — and a single byte
-//! budget bounds it regardless of the shard count.
+//! and the work counters — sits behind interior mutability of its own,
+//! so both [`PatternIndex::query`] and [`PatternIndex::ingest`] take
+//! `&self`: any number of threads can share one index behind a plain
+//! `Arc` with no external lock.
 //!
-//! ## Shard-assignment invariant
-//!
-//! An entry with [`EntryId`] `i` always lives in shard `i % S`. Ids are
-//! allocated from a monotonic counter in commit order, so a corpus
-//! saved with [`crate::save_index_wal`] and reloaded with the same entry order
-//! lands every entry in the same shard again — placement is a pure
-//! function of ingestion order and shard count, never of timing.
+//! A query read-locks the corpus only for the signature scan and leaves
+//! with at most `budget` entry handles; cache lookups, scoring,
+//! normalisation and ranking then run with no corpus lock held. An
+//! ingest write-locks it only to push its finished entries, so it waits
+//! for the scans in flight, never for whole queries.
 //!
 //! # Ingestion: prepare, then commit
 //!
 //! An ingest runs in two halves. [`PatternIndex::prepare_auto`]
 //! validates, admits against the memory budget, interns, and computes
-//! the self-kernel and signature. It takes no id and no shard lock, so
+//! the self-kernel and signature. It takes no id and no corpus lock, so
 //! the quadratic self-kernel of a large trace delays no other ingest.
-//! [`PatternIndex::commit`] then allocates a contiguous id range and runs
-//! the caller's log step on the finished entries under one mutex, and
-//! inserts them into their shards once it is released. Ids are thus
-//! given out in the order entries are logged: the write-ahead log is one
-//! file in id order, and a `BATCH INGEST` is one prepare and one commit.
+//! [`PatternIndex::commit`] then allocates a contiguous id range, runs
+//! the caller's log step on the finished entries and appends them to the
+//! corpus, all under one mutex. Ids are thus given out in the order
+//! entries are logged and appended: the write-ahead log is one file in
+//! id order, the corpus is always the id prefix `0..len`, and a
+//! `BATCH INGEST` is one prepare and one commit.
 //!
 //! # Exactness contract
 //!
 //! For every neighbour the index returns, the reported similarity is
 //! **bit-identical** to calling [`KastKernel::normalized`] directly on the
 //! same pair of interned strings — the index changes *which* pairs are
-//! evaluated (prefilter), *how often* (cache) and *where the entries live*
-//! (shards), never the arithmetic.
+//! evaluated (prefilter) and *how often* (cache), never the arithmetic.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -66,7 +59,7 @@ use kastio_trace::{valid_entry_name, valid_entry_tag, PatternSignature, Signatur
 
 use crate::entry::{entry_footprint_bytes, EntryId, IndexEntry};
 use crate::lru::SharedKernelCache;
-use crate::prefilter::{select_candidates_ranked, PrefilterConfig};
+use crate::prefilter::{select_candidates, PrefilterConfig};
 
 /// Configuration of a [`PatternIndex`].
 ///
@@ -79,7 +72,6 @@ use crate::prefilter::{select_candidates_ranked, PrefilterConfig};
 /// assert_eq!(opts.kast.cut_weight, 2);
 /// assert!(opts.prefilter.enabled);
 /// assert_eq!(opts.cache_capacity, 4096);
-/// assert_eq!(opts.shards, 1);
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct IndexOptions {
@@ -92,15 +84,12 @@ pub struct IndexOptions {
     pub signature: SignatureConfig,
     /// Candidate prefilter configuration.
     pub prefilter: PrefilterConfig,
-    /// Total capacity of the index-wide pairwise kernel cache (pairs,
-    /// shared by all shards; 0 disables caching).
+    /// Total capacity of the index-wide pairwise kernel cache, in pairs
+    /// (0 disables caching). The cache gets one lock stripe per 1,024
+    /// pairs, up to 16.
     pub cache_capacity: usize,
-    /// Number of shards the corpus is split across (0 is treated as 1).
-    ///
-    /// Sharding never changes query results — it changes which lock an
-    /// ingest takes. One shard is the right choice for
-    /// single-threaded/embedded use; the serve daemon defaults to several
-    /// so ingests stop blocking unrelated queries.
+    /// Ignored: the corpus is one vector under one lock. The field stays
+    /// for callers that still set it.
     pub shards: usize,
 }
 
@@ -142,8 +131,8 @@ pub struct IndexStats {
     pub query_self_evals: u64,
 }
 
-/// [`IndexStats`] as atomics, so concurrent queries can count work while
-/// holding only shard *read* locks.
+/// [`IndexStats`] as atomics, so concurrent queries can count work
+/// without a lock.
 #[derive(Debug, Default)]
 struct SharedStats {
     queries: AtomicU64,
@@ -293,7 +282,8 @@ pub struct Neighbor {
 /// [`merge`]: QueryTimings::merge
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryTimings {
-    /// Signature prefilter scan (candidate selection across shards).
+    /// Signature prefilter: the scan under the corpus read lock, lock
+    /// acquisition included, and the clone of the chosen entry handles.
     pub prefilter_ns: u64,
     /// Shared kernel-cache lookups plus the post-scoring cache fills.
     pub cache_ns: u64,
@@ -330,16 +320,11 @@ pub struct QueryResult {
     pub timings: QueryTimings,
 }
 
-/// One shard of the corpus: a contiguous id-ordered slice of the entries
-/// assigned to it.
-///
-/// The entry vectors are only mutated under the shard's *write* lock
-/// (ingest). Pairwise kernel values live in the index-wide
-/// [`SharedKernelCache`], not here — queries hit and fill that cache
-/// while holding only shard *read* locks.
+/// The corpus: the entry with id `i` sits at position `i` of both
+/// columns. Only [`PatternIndex::commit`] mutates it, by appending.
 #[derive(Debug, Default)]
-struct Shard {
-    entries: Vec<IndexEntry>,
+struct Corpus {
+    entries: Vec<Arc<IndexEntry>>,
     signatures: Vec<PatternSignature>,
 }
 
@@ -356,17 +341,9 @@ pub struct PreparedEntry(IndexEntry);
 /// The online pattern corpus index.
 ///
 /// All methods take `&self`: the index is internally synchronised (see the
-/// [module docs](crate::index) for the sharding and locking model), so a
+/// [module docs](crate::index) for the locking model), so a
 /// multi-threaded server shares it behind a plain `Arc` with no external
-/// lock, queries running concurrently with each other and with ingests
-/// into other shards.
-///
-/// # Shard-assignment invariant
-///
-/// The entry with [`EntryId`] `i` lives in shard `i % shard_count()`, and
-/// ids are allocated contiguously in commit order. Placement is
-/// therefore deterministic: re-ingesting the same entries in the same
-/// order (as [`crate::load_index`] does) reproduces the same shard layout.
+/// lock, queries running concurrently with each other and with ingests.
 ///
 /// # Examples
 ///
@@ -393,8 +370,9 @@ pub struct PatternIndex {
     pipeline: PatternPipeline,
     kernel: KastKernel,
     interner: Mutex<TokenInterner>,
-    shards: Vec<RwLock<Shard>>,
-    /// The index-wide pairwise kernel cache, shared by all shards.
+    /// Read-locked by a query's scan, write-locked by a commit's append.
+    corpus: RwLock<Corpus>,
+    /// The index-wide pairwise kernel cache.
     cache: Arc<SharedKernelCache>,
     /// Byte account the resident corpus is charged against. Unset until
     /// [`PatternIndex::attach_quota`] — an unattached index does no
@@ -411,14 +389,11 @@ pub struct PatternIndex {
     /// entries; released wholesale when the registry resets.
     registry_account: OnceLock<Account>,
     /// The next id to give out. Held by [`PatternIndex::commit`] while it
-    /// allocates ids and logs the entries, so log order is id order.
+    /// allocates ids, logs the entries and appends them, so log order and
+    /// corpus order are both id order.
     next_id: Mutex<u32>,
     queries: Mutex<QueryRegistry>,
     stats: SharedStats,
-    /// Bumped once per *completed* ingest (after the shard insertion), so
-    /// a snapshot that read generation `g` before scanning the shards is
-    /// guaranteed to contain every ingest whose bump it observed.
-    generation: AtomicU64,
     /// Snapshot health. Locked only for brief reads/updates, so `STATS`
     /// never waits on a save's disk I/O.
     snapshot: Mutex<SnapshotStatus>,
@@ -443,9 +418,9 @@ struct QueryInfo {
 }
 
 /// Maps distinct query strings to [`QueryInfo`]. Bounded: when it
-/// outgrows its capacity it resets together with the per-shard pair
-/// caches (the dense ids keep increasing, so even a racy mix of old and
-/// new entries could not alias — the reset just keeps memory flat).
+/// outgrows its capacity it resets together with the shared pair cache
+/// (the dense ids keep increasing, so even a racy mix of old and new
+/// entries could not alias — the reset just keeps memory flat).
 #[derive(Debug, Default)]
 struct QueryRegistry {
     map: HashMap<QueryKey, QueryInfo>,
@@ -461,21 +436,16 @@ fn registry_entry_bytes(key: &QueryKey) -> u64 {
         + key.1.len() * std::mem::size_of::<u64>()) as u64
 }
 
-/// A candidate surviving the prefilter: which shard holds it and its
-/// position inside that shard's entry vector.
-type Candidate = (usize, usize);
-
 impl PatternIndex {
     /// Creates an empty index.
     pub fn new(opts: IndexOptions) -> Self {
-        let shard_count = opts.shards.max(1);
         PatternIndex {
             opts,
             pipeline: PatternPipeline::new(opts.byte_mode),
             kernel: KastKernel::new(opts.kast),
             interner: Mutex::new(TokenInterner::new()),
-            shards: (0..shard_count).map(|_| RwLock::new(Shard::default())).collect(),
-            cache: Arc::new(SharedKernelCache::new(opts.cache_capacity, shard_count)),
+            corpus: RwLock::new(Corpus::default()),
+            cache: Arc::new(SharedKernelCache::new(opts.cache_capacity)),
             corpus_account: OnceLock::new(),
             interner_account: OnceLock::new(),
             interner_charged: AtomicU64::new(0),
@@ -483,7 +453,6 @@ impl PatternIndex {
             next_id: Mutex::new(0),
             queries: Mutex::new(QueryRegistry::default()),
             stats: SharedStats::default(),
-            generation: AtomicU64::new(0),
             snapshot: Mutex::new(SnapshotStatus::default()),
             save_lock: Mutex::new(()),
         }
@@ -494,55 +463,9 @@ impl PatternIndex {
         &self.opts
     }
 
-    /// Number of shards the corpus is split across.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use kastio_index::{IndexOptions, PatternIndex};
-    ///
-    /// let index = PatternIndex::new(IndexOptions { shards: 4, ..IndexOptions::default() });
-    /// assert_eq!(index.shard_count(), 4);
-    /// // 0 is normalised to a single shard.
-    /// let single = PatternIndex::new(IndexOptions { shards: 0, ..IndexOptions::default() });
-    /// assert_eq!(single.shard_count(), 1);
-    /// ```
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Number of entries in each shard, in shard order. The sum equals
-    /// [`PatternIndex::len`], and by the shard-assignment invariant entry
-    /// `i` is counted by shard `i % shard_count()`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use kastio_index::{IndexOptions, PatternIndex};
-    /// use kastio_trace::parse_trace;
-    ///
-    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-    /// let index = PatternIndex::new(IndexOptions { shards: 2, ..IndexOptions::default() });
-    /// for i in 0..5 {
-    ///     index.ingest(format!("e{i}"), "label", parse_trace("h0 write 64\n")?);
-    /// }
-    /// assert_eq!(index.shard_sizes(), vec![3, 2]); // ids 0,2,4 and 1,3
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn shard_sizes(&self) -> Vec<usize> {
-        self.shards.iter().map(|shard| read_shard(shard).entries.len()).collect()
-    }
-
-    /// The shard that owns (or will own) the entry with the given id —
-    /// `id % shard_count()`, the shard-assignment invariant.
-    pub fn shard_of(&self, id: EntryId) -> usize {
-        id.0 as usize % self.shards.len()
-    }
-
     /// Number of ingested entries.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|shard| read_shard(shard).entries.len()).sum()
+        self.read_corpus().entries.len()
     }
 
     /// Whether the corpus is empty.
@@ -552,13 +475,17 @@ impl PatternIndex {
 
     /// A snapshot of the ingested entries in ingestion (id) order.
     ///
-    /// Entries are cloned out of their shards so the snapshot is
-    /// self-contained — it stays valid while other threads keep ingesting.
+    /// The handles are cloned under the corpus lock and the entries
+    /// copied outside it, so the snapshot is self-contained: it stays
+    /// valid while other threads keep ingesting.
     pub fn entries(&self) -> Vec<IndexEntry> {
-        let mut entries: Vec<IndexEntry> =
-            self.shards.iter().flat_map(|shard| read_shard(shard).entries.clone()).collect();
-        entries.sort_by_key(|e| e.id);
-        entries
+        self.handles().iter().map(|entry| IndexEntry::clone(entry)).collect()
+    }
+
+    /// The corpus as shared handles in id order: the ids `0..len`, with
+    /// no entry copied.
+    pub(crate) fn handles(&self) -> Vec<Arc<IndexEntry>> {
+        self.read_corpus().entries.clone()
     }
 
     /// Work counters accumulated so far.
@@ -566,13 +493,13 @@ impl PatternIndex {
         self.stats.snapshot()
     }
 
-    /// The corpus generation: the number of completed ingests. A snapshot
-    /// taken at generation `g` contains at least every entry whose ingest
-    /// completed before `g` was read — the skip test periodic snapshots
-    /// use ("unchanged since the last save?") compares this counter with
+    /// The corpus generation: the number of committed entries, which is
+    /// [`PatternIndex::len`]. The corpus only grows, so an unchanged
+    /// generation means an unchanged corpus: the skip test periodic
+    /// snapshots use ("unchanged since the last save?") compares it with
     /// [`SnapshotStatus::last_generation`].
     pub fn generation(&self) -> u64 {
-        self.generation.load(Ordering::SeqCst)
+        self.len() as u64
     }
 
     /// Snapshot health: attempt counters and what the last successful
@@ -618,15 +545,10 @@ impl PatternIndex {
     pub fn attach_quota(&self, quota: &MemoryQuota) {
         let corpus = quota.account("corpus");
         let preloaded: u64 = self
-            .shards
+            .read_corpus()
+            .entries
             .iter()
-            .map(|shard| {
-                read_shard(shard)
-                    .entries
-                    .iter()
-                    .map(|e| entry_footprint_bytes(&e.name, &e.label, &e.trace))
-                    .sum::<u64>()
-            })
+            .map(|e| entry_footprint_bytes(&e.name, &e.label, &e.trace))
             .sum();
         if self.corpus_account.set(corpus).is_err() {
             return;
@@ -684,8 +606,8 @@ impl PatternIndex {
 
     /// Ingests one labelled trace, running the full preprocessing pipeline
     /// once: pattern string, interning, self-kernel, cut mass, signature.
-    /// Only the owning shard is write-locked, and only for the final
-    /// insertion — queries touching other shards proceed undisturbed.
+    /// The corpus is write-locked only for the final append, which waits
+    /// for the signature scans in flight, not for whole queries.
     ///
     /// Names should be unique within an index — a corpus-directory
     /// export writes one file per name, and later duplicates overwrite
@@ -750,7 +672,7 @@ impl PatternIndex {
     /// [`PatternIndex::commit`] gives them ids: validates every label,
     /// admits the items' summed footprint against the memory budget in
     /// one charge, then runs the preprocessing pipeline on each. It takes
-    /// no id and no shard lock, so any number of prepares run in
+    /// no id and no corpus lock, so any number of prepares run in
     /// parallel with each other, with queries and with commits.
     ///
     /// # Errors
@@ -816,61 +738,43 @@ impl PatternIndex {
     }
 
     /// The second half of an ingest: gives `prepared` the next
-    /// contiguous id range and adds the entries to the corpus. Returns
+    /// contiguous id range and appends the entries to the corpus. Returns
     /// the first id and what `log` returned.
     ///
-    /// The ids are allocated, and `log` runs on the finished entries,
-    /// under one mutex, so whatever `log` records is recorded in id order:
-    /// the serve daemon appends one WAL record per entry there. Lock
-    /// order: this mutex, then whatever `log` locks. No code path takes
-    /// it while holding a shard lock.
+    /// The ids are allocated, `log` runs on the finished entries and the
+    /// entries are appended, all under one mutex, so whatever `log`
+    /// records is recorded in id order and the corpus stays the id prefix
+    /// `0..len`: the serve daemon appends one WAL record per entry there.
+    /// Lock order: this mutex, then whatever `log` locks, then the corpus
+    /// write lock, which waits only for the signature scans in flight. No
+    /// code path takes this mutex while holding the corpus lock.
     ///
-    /// The shard inserts run after the mutex is released, because a shard
-    /// write lock waits out every query in flight; inside the section
-    /// that wait would stall every other commit. The inserts happen
-    /// whatever `log` returned: an entry left out would be an id gap that
-    /// every later snapshot stops at.
+    /// The append happens whatever `log` returned: an entry left out
+    /// would be an id gap in the corpus.
     pub fn commit<T>(
         &self,
         prepared: Vec<PreparedEntry>,
         log: impl FnOnce(&[IndexEntry]) -> T,
     ) -> (EntryId, T) {
-        let (first, entries, logged) = {
-            let mut next_id = self.next_id.lock().unwrap_or_else(|p| p.into_inner());
-            let first = *next_id;
-            let entries: Vec<IndexEntry> = prepared
-                .into_iter()
-                .zip(first..)
-                .map(|(PreparedEntry(mut entry), id)| {
-                    entry.id = EntryId(id);
-                    if entry.name.is_empty() {
-                        entry.name = entry.id.to_string();
-                    }
-                    entry
-                })
-                .collect();
-            *next_id +=
-                u32::try_from(entries.len()).expect("a commit holds fewer than 2^32 entries");
-            let logged = log(&entries);
-            (first, entries, logged)
-        };
-        for entry in entries {
-            let id = entry.id;
-            {
-                let mut shard = write_shard(&self.shards[self.shard_of(id)]);
-                // Commits insert after releasing the id mutex, so entries
-                // can reach a shard out of id order; insert by id so
-                // shard contents are deterministic.
-                let at = shard.entries.partition_point(|e| e.id < id);
-                shard.signatures.insert(at, entry.signature);
-                shard.entries.insert(at, entry);
-            }
-            // Bumped strictly after the insertion (and after the shard
-            // lock is released): a snapshot that observes generation g
-            // therefore sees every entry of the g completed ingests in its
-            // shard scan.
-            self.generation.fetch_add(1, Ordering::SeqCst);
-        }
+        let mut next_id = self.next_id.lock().unwrap_or_else(|p| p.into_inner());
+        let first = *next_id;
+        let entries: Vec<IndexEntry> = prepared
+            .into_iter()
+            .zip(first..)
+            .map(|(PreparedEntry(mut entry), id)| {
+                entry.id = EntryId(id);
+                if entry.name.is_empty() {
+                    entry.name = entry.id.to_string();
+                }
+                entry
+            })
+            .collect();
+        *next_id += u32::try_from(entries.len()).expect("a commit holds fewer than 2^32 entries");
+        let logged = log(&entries);
+        let handles: Vec<Arc<IndexEntry>> = entries.into_iter().map(Arc::new).collect();
+        let mut corpus = self.write_corpus();
+        corpus.signatures.extend(handles.iter().map(|entry| entry.signature));
+        corpus.entries.extend(handles);
         (EntryId(first), logged)
     }
 
@@ -878,10 +782,11 @@ impl PatternIndex {
     /// the majority-vote label.
     ///
     /// Pipeline: convert + intern the query once, prefilter the corpus by
-    /// signature distance (shard by shard), serve cached pairs from the
-    /// shared kernel cache, score the remaining candidates, merge and
-    /// rank — all on the calling thread. Holds *read* locks on the
-    /// shards, so any number of queries run concurrently.
+    /// signature distance, serve cached pairs from the shared kernel
+    /// cache, score the remaining candidates and rank — all on the calling
+    /// thread. Only the prefilter scan holds the corpus *read* lock, so
+    /// any number of queries run concurrently, and an ingest waits for
+    /// scans, never for scoring.
     ///
     /// # Examples
     ///
@@ -890,7 +795,7 @@ impl PatternIndex {
     /// use kastio_trace::parse_trace;
     ///
     /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-    /// let index = PatternIndex::new(IndexOptions { shards: 2, ..IndexOptions::default() });
+    /// let index = PatternIndex::new(IndexOptions::default());
     /// index.ingest("ckpt", "checkpoint", parse_trace(&"h0 write 1048576\n".repeat(16))?);
     /// index.ingest("scan", "analysis", parse_trace(&"h0 read 4096\n".repeat(16))?);
     ///
@@ -924,39 +829,47 @@ impl PatternIndex {
         self.stats.queries.fetch_add(1, Ordering::Relaxed);
 
         // Resolve the query's exact identity (and memoised self-kernel)
-        // before taking any shard lock. Lock order: the registry mutex
-        // may be acquired *before* shard locks and cache stripe locks
+        // before taking the corpus lock. Lock order: the registry mutex
+        // may be acquired *before* the corpus lock and cache stripe locks
         // (its reset path clears the shared cache while holding it),
         // never after — no code path may take the registry while holding
-        // a shard lock or a cache stripe, or the order would cycle.
+        // the corpus lock or a cache stripe, or the order would cycle.
         let (query_key, query_self) = self.query_identity(query);
-
-        // Read-lock every shard for the duration of the query. Shards are
-        // always locked in index order, and writers only ever hold one
-        // shard lock, so this cannot deadlock.
-        let guards: Vec<RwLockReadGuard<'_, Shard>> = self.shards.iter().map(read_shard).collect();
-        let shards: Vec<&Shard> = guards.iter().map(|guard| &**guard).collect();
-        let total: usize = shards.iter().map(|shard| shard.entries.len()).sum();
 
         let mut timings = QueryTimings::default();
 
-        let budget = self.opts.prefilter.budget_for(k, total);
+        // The only corpus lock a query takes: the scan, then a clone of
+        // the handles it chose. Position equals id, so the prefilter's
+        // tie-break by position is a tie-break by id.
         let stage = Instant::now();
-        let candidates = self.select_candidates_sharded(&shards, signature, budget, total);
+        let (total, candidates) = {
+            let corpus = self.read_corpus();
+            let total = corpus.entries.len();
+            let budget = self.opts.prefilter.budget_for(k, total);
+            let candidates: Vec<Arc<IndexEntry>> = if budget >= total {
+                corpus.entries.clone()
+            } else {
+                select_candidates(signature, &corpus.signatures, budget)
+                    .into_iter()
+                    .map(|pos| Arc::clone(&corpus.entries[pos]))
+                    .collect()
+            };
+            (total, candidates)
+        };
         timings.prefilter_ns = span_ns(stage);
+        #[cfg(test)]
+        tests::park_after_scan();
         self.stats.prefilter_pruned.fetch_add((total - candidates.len()) as u64, Ordering::Relaxed);
 
         // Serve what the shared kernel cache already knows; collect the
-        // rest. The cache is keyed by (query, entry) — which shard owns
-        // an entry never matters, so a pair warmed by any earlier query
-        // hits here regardless of sharding.
+        // rest. The cache is keyed by (query, entry id).
         let stage = Instant::now();
-        let mut raw_values: Vec<(Candidate, f64)> = Vec::with_capacity(candidates.len());
-        let mut misses: Vec<Candidate> = Vec::new();
-        for &(s, pos) in &candidates {
-            match self.cache.get((query_key, shards[s].entries[pos].id.0)) {
-                Some(value) => raw_values.push(((s, pos), value)),
-                None => misses.push((s, pos)),
+        let mut raw_values: Vec<(&IndexEntry, f64)> = Vec::with_capacity(candidates.len());
+        let mut misses: Vec<&IndexEntry> = Vec::new();
+        for entry in &candidates {
+            match self.cache.get((query_key, entry.id.0)) {
+                Some(value) => raw_values.push((entry, value)),
+                None => misses.push(entry),
             }
         }
         timings.cache_ns += span_ns(stage);
@@ -965,12 +878,18 @@ impl PatternIndex {
         self.stats.cache_hits.fetch_add(cache_hits as u64, Ordering::Relaxed);
         self.stats.kernel_evals.fetch_add(evaluated as u64, Ordering::Relaxed);
 
+        // Score the misses on the calling thread. `KastKernel::raw` keeps
+        // per-*thread* scratch buffers, which stay warm across queries on
+        // the serve daemon's persistent workers.
         let stage = Instant::now();
-        let scored = self.score_batch(&shards, query, &misses);
+        let scored: Vec<(&IndexEntry, f64)> = misses
+            .into_iter()
+            .map(|entry| (entry, self.kernel.raw(query, &entry.string)))
+            .collect();
         timings.kernel_ns = span_ns(stage);
         let stage = Instant::now();
-        for &((s, pos), value) in &scored {
-            self.cache.insert((query_key, shards[s].entries[pos].id.0), value);
+        for &(entry, value) in &scored {
+            self.cache.insert((query_key, entry.id.0), value);
         }
         timings.cache_ns += span_ns(stage);
         raw_values.extend(scored);
@@ -980,8 +899,7 @@ impl PatternIndex {
         let query_mass = query.weight_at_least(self.opts.kast.cut_weight);
         let mut neighbors: Vec<Neighbor> = raw_values
             .into_iter()
-            .map(|((s, pos), kab)| {
-                let entry = &shards[s].entries[pos];
+            .map(|(entry, kab)| {
                 let similarity = match self.opts.kast.normalization {
                     Normalization::Cosine => {
                         if kab == 0.0 || query_self <= 0.0 || entry.self_kernel <= 0.0 {
@@ -1023,47 +941,6 @@ impl PatternIndex {
             cache_hits,
             timings,
         }
-    }
-
-    /// Ranks every entry by signature distance and keeps the global
-    /// `budget` closest, scanning the shards one after another.
-    ///
-    /// Ties break by global entry id, so the selected candidate *set* is
-    /// identical for every shard count (and identical to the historic
-    /// unsharded selection).
-    fn select_candidates_sharded(
-        &self,
-        shards: &[&Shard],
-        signature: &PatternSignature,
-        budget: usize,
-        total: usize,
-    ) -> Vec<Candidate> {
-        if budget >= total {
-            return (0..shards.len())
-                .flat_map(|s| (0..shards[s].entries.len()).map(move |pos| (s, pos)))
-                .collect();
-        }
-        // Per-shard: rank the shard's entries, keep at most `budget` (the
-        // global winners are a subset of every shard's local winners).
-        let mut ranked: Vec<(f64, u32, Candidate)> = Vec::new();
-        for (s, shard) in shards.iter().enumerate() {
-            ranked.extend(
-                select_candidates_ranked(signature, &shard.signatures, budget)
-                    .into_iter()
-                    .map(|(dist, pos)| (dist, shard.entries[pos].id.0, (s, pos))),
-            );
-        }
-        // Global top-`budget` by (distance, id) — the same order the
-        // unsharded index used, with ids standing in for corpus position.
-        let order = |a: &(f64, u32, Candidate), b: &(f64, u32, Candidate)| {
-            a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal).then(a.1.cmp(&b.1))
-        };
-        if budget < ranked.len() {
-            ranked.select_nth_unstable_by(budget, order);
-            ranked.truncate(budget);
-        }
-        ranked.sort_by(order);
-        ranked.into_iter().map(|(_, _, candidate)| candidate).collect()
     }
 
     /// Resolves the query half of pair-cache keys (a dense id assigned to
@@ -1137,21 +1014,16 @@ impl PatternIndex {
         self.queries.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Scores `query` against the candidates at `misses` (across all
-    /// shards) on the calling thread, through [`KastKernel::raw`]. Its
-    /// per-*thread* scratch buffers stay warm across queries on the
-    /// serve daemon's persistent workers, so a batch allocates nothing
-    /// once the buffers have grown.
-    fn score_batch(
-        &self,
-        shards: &[&Shard],
-        query: &IdString,
-        misses: &[Candidate],
-    ) -> Vec<(Candidate, f64)> {
-        misses
-            .iter()
-            .map(|&(s, pos)| ((s, pos), self.kernel.raw(query, &shards[s].entries[pos].string)))
-            .collect()
+    fn read_corpus(&self) -> RwLockReadGuard<'_, Corpus> {
+        // Readers only scan and clone handles, and a writer only extends
+        // both columns with finished entries, which cannot panic short of
+        // an allocation failure (an abort): a poisoned lock still guards
+        // equal-length columns and is safe to reuse.
+        self.corpus.read().unwrap_or_else(|p| p.into_inner())
+    }
+
+    fn write_corpus(&self) -> RwLockWriteGuard<'_, Corpus> {
+        self.corpus.write().unwrap_or_else(|p| p.into_inner())
     }
 }
 
@@ -1159,17 +1031,6 @@ impl PatternIndex {
 /// long means the clock is broken anyway).
 fn span_ns(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
-fn read_shard(shard: &RwLock<Shard>) -> RwLockReadGuard<'_, Shard> {
-    // A panicking query thread cannot leave a shard torn (it holds only
-    // read access; cache mutations are LRU-internal and unwind-safe), so a
-    // poisoned lock is still safe to reuse.
-    shard.read().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-fn write_shard(shard: &RwLock<Shard>) -> RwLockWriteGuard<'_, Shard> {
-    shard.write().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 fn majority_label(neighbors: &[Neighbor]) -> Option<String> {
@@ -1197,6 +1058,28 @@ fn majority_label(neighbors: &[Neighbor]) -> Option<String> {
 mod tests {
     use super::*;
     use kastio_trace::parse_trace;
+    use std::cell::RefCell;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    /// A parking spot for one query: reports "parked", then waits for
+    /// "release".
+    type Park = (mpsc::Sender<()>, mpsc::Receiver<()>);
+
+    thread_local! {
+        /// Set on a querying thread to park its next query right after
+        /// the signature scan, with the corpus lock released.
+        static PARK_AFTER_SCAN: RefCell<Option<Park>> = const { RefCell::new(None) };
+    }
+
+    /// The hook `query_interned` calls after its scan: parks the thread
+    /// if [`PARK_AFTER_SCAN`] asks for it, and returns at once otherwise.
+    pub(super) fn park_after_scan() {
+        if let Some((parked, release)) = PARK_AFTER_SCAN.with(RefCell::take) {
+            parked.send(()).unwrap();
+            release.recv().unwrap();
+        }
+    }
 
     fn checkpoint(blocks: usize) -> Trace {
         parse_trace(&"h0 write 1048576\n".repeat(blocks)).unwrap()
@@ -1329,25 +1212,6 @@ mod tests {
     }
 
     #[test]
-    fn cross_shard_hot_query_warms_the_cache_once() {
-        // One shared cache: repeating a query that touches entries in
-        // every shard re-evaluates nothing — the warm pairs hit no matter
-        // which shard owns them.
-        let index = PatternIndex::new(IndexOptions { shards: 4, ..IndexOptions::default() });
-        for i in 0..8 {
-            index.ingest(format!("w{i}"), "w", checkpoint(8 + i)).unwrap();
-        }
-        let first = index.query(&checkpoint(10), 8);
-        assert!(first.evaluated > 0);
-        assert_eq!(first.cache_hits, 0);
-        let second = index.query(&checkpoint(10), 8);
-        assert_eq!(second.evaluated, 0, "every cross-shard pair was warmed by the first query");
-        assert_eq!(second.cache_hits, first.evaluated);
-        assert_eq!(first.neighbors, second.neighbors);
-        assert_eq!(index.stats().kernel_evals, first.evaluated as u64);
-    }
-
-    #[test]
     fn memory_admission_sheds_ingests_once_the_budget_is_full() {
         let quota = MemoryQuota::new(Some(4096));
         let index = PatternIndex::new(IndexOptions::default());
@@ -1392,7 +1256,7 @@ mod tests {
 
     #[test]
     fn commit_logs_in_id_order_and_inserts_whatever_the_log_returns() {
-        let index = PatternIndex::new(IndexOptions { shards: 2, ..IndexOptions::default() });
+        let index = PatternIndex::new(IndexOptions::default());
         index.ingest_auto("w", checkpoint(4)).unwrap();
         let items = vec![("a".to_string(), checkpoint(5)), ("b".to_string(), scan(5))];
         let prepared = index.prepare_auto(items).unwrap();
@@ -1477,50 +1341,37 @@ mod tests {
     }
 
     #[test]
-    fn shard_assignment_follows_id_modulo_invariant() {
-        let index = PatternIndex::new(IndexOptions { shards: 3, ..IndexOptions::default() });
-        for i in 0..8 {
-            let id = index.ingest(format!("w{i}"), "w", checkpoint(4 + i)).unwrap();
-            assert_eq!(id.0 as usize, i);
-            assert_eq!(index.shard_of(id), i % 3);
-        }
-        assert_eq!(index.shard_sizes(), vec![3, 3, 2]);
-        assert_eq!(index.shard_sizes().iter().sum::<usize>(), index.len());
-        // The snapshot is globally id-ordered despite the shard split.
-        let names: Vec<String> = index.entries().into_iter().map(|e| e.name).collect();
-        assert_eq!(names, ["w0", "w1", "w2", "w3", "w4", "w5", "w6", "w7"]);
-    }
-
-    #[test]
-    fn sharded_results_are_bit_identical_to_single_shard() {
-        let single = PatternIndex::new(IndexOptions::default());
-        let sharded = PatternIndex::new(IndexOptions { shards: 4, ..IndexOptions::default() });
-        for i in 0..6 {
-            single.ingest(format!("w{i}"), "w", checkpoint(10 + i)).unwrap();
-            single.ingest(format!("r{i}"), "r", scan(10 + i)).unwrap();
-            sharded.ingest(format!("w{i}"), "w", checkpoint(10 + i)).unwrap();
-            sharded.ingest(format!("r{i}"), "r", scan(10 + i)).unwrap();
-        }
-        for probe in [checkpoint(11), scan(13), checkpoint(30)] {
-            let a = single.query(&probe, 5);
-            let b = sharded.query(&probe, 5);
-            assert_eq!(a.candidates, b.candidates, "prefilter selection is shard-independent");
-            assert_eq!(a.neighbors.len(), b.neighbors.len());
-            for (x, y) in a.neighbors.iter().zip(&b.neighbors) {
-                assert_eq!(x.id, y.id);
-                assert_eq!(
-                    x.similarity.to_bits(),
-                    y.similarity.to_bits(),
-                    "sharding must not change kernel values"
-                );
-            }
-            assert_eq!(a.label, b.label);
-        }
+    fn an_ingest_completes_while_a_query_is_between_scan_and_scoring() {
+        let index = small_index();
+        let (parked_tx, parked) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        let (ingested_tx, ingested) = mpsc::channel();
+        std::thread::scope(|scope| {
+            let index = &index;
+            let query = scope.spawn(move || {
+                PARK_AFTER_SCAN.with(|park| *park.borrow_mut() = Some((parked_tx, release_rx)));
+                index.query(&checkpoint(16), 3)
+            });
+            parked.recv().unwrap();
+            scope.spawn(move || ingested_tx.send(index.ingest("late", "w", checkpoint(30))));
+            // Release the query before asserting, so a failure cannot
+            // leave the scope waiting on a parked thread.
+            let outcome = ingested.recv_timeout(Duration::from_secs(5));
+            release.send(()).unwrap();
+            let result = query.join().unwrap();
+            assert_eq!(outcome, Ok(Ok(EntryId(8))), "the ingest waited for a parked query");
+            // The query scored the corpus its scan saw, exactly.
+            assert_eq!(result.candidates, 8);
+            assert_eq!(result.neighbors[0].name, "w0");
+            assert_eq!(result.label.as_deref(), Some("write-heavy"));
+        });
+        assert_eq!(index.len(), 9);
+        assert_eq!(index.query(&checkpoint(16), 3).candidates, 9);
     }
 
     #[test]
     fn ingest_auto_names_by_id() {
-        let index = PatternIndex::new(IndexOptions { shards: 2, ..IndexOptions::default() });
+        let index = PatternIndex::new(IndexOptions::default());
         index.ingest_auto("w", checkpoint(4)).unwrap();
         index.ingest_auto("r", scan(4)).unwrap();
         let entries = index.entries();
@@ -1533,10 +1384,7 @@ mod tests {
         // One writer keeps ingesting new entries while readers hammer the
         // index with queries; every similarity a reader sees must still be
         // the exact kernel value for that (query, entry) pair.
-        let index = std::sync::Arc::new(PatternIndex::new(IndexOptions {
-            shards: 4,
-            ..IndexOptions::default()
-        }));
+        let index = std::sync::Arc::new(PatternIndex::new(IndexOptions::default()));
         for i in 0..6 {
             index.ingest(format!("w{i}"), "w", checkpoint(8 + i)).unwrap();
             index.ingest(format!("r{i}"), "r", scan(8 + i)).unwrap();
@@ -1579,6 +1427,7 @@ mod tests {
             }
         });
         assert_eq!(index.len(), 20);
-        assert_eq!(index.shard_sizes().iter().sum::<usize>(), 20);
+        let ids: Vec<u32> = index.entries().iter().map(|e| e.id.0).collect();
+        assert_eq!(ids, (0..20).collect::<Vec<_>>(), "the corpus is the id prefix");
     }
 }

@@ -13,34 +13,33 @@
 //!    cheap scalar distance and hands only a budgeted candidate subset to
 //!    the kernel stage;
 //! 2. a **shared, byte-accounted LRU cache** ([`lru`]) of pairwise raw
-//!    kernel values — one striped pool for all shards, so repeated or
-//!    neighbouring queries stop paying for the quadratic string
-//!    comparison and a hot query warms the cache once, not per shard;
+//!    kernel values — one striped pool, so repeated or neighbouring
+//!    queries stop paying for the quadratic string comparison;
 //! 3. **inline batch scoring** — the surviving candidates are scored on
 //!    the calling thread, reusing its warm kernel scratch buffers. A
 //!    query never spawns threads: the serve daemon's parallelism comes
 //!    from concurrent requests on its bounded worker pool.
 //!
-//! The corpus is **sharded** ([`IndexOptions::shards`]): entries are
-//! assigned to shard `id % S`, every mutable accelerator sits behind
-//! per-shard interior mutability, and [`PatternIndex::query`] /
+//! The corpus is **one** id-ordered vector of shared entry handles
+//! under one `RwLock`, and every other mutable accelerator sits behind
+//! interior mutability, so [`PatternIndex::query`] /
 //! [`PatternIndex::ingest`] take `&self` — a server shares one index
-//! across threads behind a plain `Arc`, queries holding shard *read*
-//! locks (so they run concurrently) and ingests write-locking only the
-//! owning shard. See `docs/ARCHITECTURE.md` for the full locking model.
+//! across threads behind a plain `Arc`. A query read-locks the corpus
+//! only for its signature scan, so queries run concurrently and scoring
+//! holds no corpus lock; an ingest write-locks it only to append. See
+//! `docs/ARCHITECTURE.md` for the full locking model.
 //!
 //! Accuracy contract: the similarity reported for every returned
 //! neighbour is bit-identical to a direct [`kastio_core::KastKernel`]
-//! evaluation of the same pair; prefilter, cache and sharding change
-//! which pairs are evaluated, how often and where the entries live,
-//! never the arithmetic.
+//! evaluation of the same pair; prefilter and cache change which pairs
+//! are evaluated and how often, never the arithmetic.
 //!
 //! [`persist`] saves a corpus as **one durable snapshot file**,
 //! `<dir>/snapshot.log`: every entry as a CRC-framed WAL record, in id
-//! order (so shard placement, a pure function of ingestion order,
-//! survives a restart). A save streams the records into a temp file,
-//! fsyncs it, renames it into place and fsyncs the directory, running
-//! from shard *read* locks; a [`Snapshotter`] thread can save
+//! order, so a reload reproduces every id. A save clones the entry
+//! handles under the corpus read lock, then streams the records into a
+//! temp file, fsyncs it, renames it into place and fsyncs the directory
+//! with no corpus lock held; a [`Snapshotter`] thread can save
 //! periodically, and [`signal`] turns `SIGTERM`/`SIGINT` into a final
 //! snapshot plus clean listener shutdown. Corpus directories (plain-text
 //! trace files + `MANIFEST`, the layout `kastio generate` emits) still
@@ -72,7 +71,7 @@
 //! use kastio_trace::parse_trace;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let index = PatternIndex::new(IndexOptions { shards: 2, ..IndexOptions::default() });
+//! let index = PatternIndex::new(IndexOptions::default());
 //! index.ingest("ckpt", "checkpoint", parse_trace(&"h0 write 1048576\n".repeat(32))?);
 //! index.ingest("scan", "analysis", parse_trace(&"h0 read 4096\n".repeat(32))?);
 //!

@@ -10,18 +10,18 @@
 //! Implemented as a `HashMap` into a slab of doubly-linked nodes, giving
 //! O(1) get/insert/evict without any external dependency.
 //!
-//! A sharded [`crate::PatternIndex`] owns **one** [`SharedKernelCache`]:
-//! a byte-accounted pool of `KernelCache` stripes shared by every shard,
-//! sized by [`crate::IndexOptions::cache_capacity`] in total. Keys are
+//! A [`crate::PatternIndex`] owns **one** [`SharedKernelCache`]: a
+//! byte-accounted pool of `KernelCache` stripes, sized by
+//! [`crate::IndexOptions::cache_capacity`] in total. Keys are
 //! `(query id, entry id)`, so which stripe holds a pair is a pure
-//! function of the pair — never of the shard that owns the entry — and a
-//! hot query that touches entries in all `S` shards warms the cache
-//! *once*, not `S` times. Striping (the stripe count tracks the shard
-//! count, capped) keeps concurrent queries from serialising on one
-//! mutex; the single-threaded `KernelCache` underneath stays free of any
-//! synchronisation of its own. Byte usage is charged to an optional
-//! [`kastio_quota::Account`], making the cache the natural reclaim
-//! target when the daemon's memory budget comes under pressure.
+//! function of the pair. Striping (one stripe per 1,024 pairs of
+//! capacity, rounded to a power of two, at most 16) keeps concurrent
+//! queries from serialising on one mutex, while a small cache stays one
+//! stripe with exact LRU order; the single-threaded `KernelCache`
+//! underneath stays free of any synchronisation of its own. Byte usage
+//! is charged to an optional [`kastio_quota::Account`], making the cache
+//! the natural reclaim target when the daemon's memory budget comes
+//! under pressure.
 
 use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -202,15 +202,13 @@ impl KernelCache {
     }
 }
 
-/// One byte-accounted kernel cache shared by every shard of a
-/// [`crate::PatternIndex`].
+/// The byte-accounted kernel cache of a [`crate::PatternIndex`], shared
+/// by all its queries.
 ///
 /// The total pair capacity is split across a small power-of-two number
 /// of mutex-guarded [`KernelCache`] stripes so concurrent queries rarely
 /// contend on the same lock. A pair's stripe is a pure function of its
-/// `(query id, entry id)` key, so every shard's candidates for one query
-/// land in the same shared pool: a cross-shard hot query warms the cache
-/// once instead of once per shard.
+/// `(query id, entry id)` key.
 ///
 /// When an [`Account`] is attached, each newly cached pair charges
 /// [`PAIR_COST_BYTES`] against it and [`clear`](SharedKernelCache::clear)
@@ -227,15 +225,19 @@ pub struct SharedKernelCache {
     account: OnceLock<Account>,
 }
 
-/// Most stripes a cache will ever be split into: enough to keep a
-/// 16-shard index from serialising, without fragmenting tiny capacities.
+/// Pairs of capacity per stripe: the daemon's default 4,096-pair cache
+/// gets four stripes, and a cache under 2,048 pairs one.
+const PAIRS_PER_STRIPE: usize = 1024;
+
+/// Most stripes a cache will ever be split into.
 const MAX_STRIPES: usize = 16;
 
 impl SharedKernelCache {
-    /// Creates a cache holding at most `capacity` pairs in total, striped
-    /// to suit an index with `shards` shards. Capacity 0 disables caching.
-    pub fn new(capacity: usize, shards: usize) -> Self {
-        let stripes = shards.max(1).next_power_of_two().min(MAX_STRIPES);
+    /// Creates a cache holding at most `capacity` pairs in total, in one
+    /// stripe per 1,024 pairs, rounded up to a power of two and capped at
+    /// 16. Capacity 0 disables caching.
+    pub fn new(capacity: usize) -> Self {
+        let stripes = (capacity / PAIRS_PER_STRIPE).clamp(1, MAX_STRIPES).next_power_of_two();
         let per_stripe = if capacity == 0 { 0 } else { capacity.div_ceil(stripes) };
         SharedKernelCache {
             stripes: (0..stripes).map(|_| Mutex::new(KernelCache::new(per_stripe))).collect(),
@@ -409,7 +411,8 @@ mod tests {
 
     #[test]
     fn shared_cache_roundtrips_across_stripes() {
-        let cache = SharedKernelCache::new(256, 8);
+        let cache = SharedKernelCache::new(8192);
+        assert_eq!(cache.stripes.len(), 8);
         for i in 0..100u32 {
             cache.insert((u64::from(i) * 37, i), f64::from(i));
         }
@@ -421,8 +424,8 @@ mod tests {
 
     #[test]
     fn shared_cache_single_shard_uses_one_stripe() {
-        let cache = SharedKernelCache::new(2, 1);
-        assert_eq!(cache.stripes.len(), 1, "one shard keeps exact LRU order");
+        let cache = SharedKernelCache::new(2);
+        assert_eq!(cache.stripes.len(), 1, "a small cache keeps exact LRU order");
         cache.insert((1, 1), 1.0);
         cache.insert((2, 2), 2.0);
         cache.insert((3, 3), 3.0); // evicts (1,1)
@@ -432,7 +435,7 @@ mod tests {
 
     #[test]
     fn shared_cache_zero_capacity_disables_caching() {
-        let cache = SharedKernelCache::new(0, 4);
+        let cache = SharedKernelCache::new(0);
         cache.insert((1, 1), 1.0);
         assert_eq!(cache.get((1, 1)), None);
         assert!(cache.is_empty());
@@ -441,7 +444,7 @@ mod tests {
     #[test]
     fn shared_cache_charges_and_releases_its_account() {
         let quota = kastio_quota::MemoryQuota::unlimited();
-        let cache = SharedKernelCache::new(64, 4);
+        let cache = SharedKernelCache::new(64);
         cache.attach_account(quota.account("cache"));
         for i in 0..10u32 {
             cache.insert((u64::from(i), i), 0.5);
@@ -459,7 +462,7 @@ mod tests {
     #[test]
     fn shared_cache_eviction_does_not_leak_charges() {
         let quota = kastio_quota::MemoryQuota::unlimited();
-        let cache = SharedKernelCache::new(16, 1);
+        let cache = SharedKernelCache::new(16);
         cache.attach_account(quota.account("cache"));
         for i in 0..1000u32 {
             cache.insert((u64::from(i), i), f64::from(i));
@@ -472,7 +475,8 @@ mod tests {
     fn shared_cache_is_usable_from_many_threads() {
         use std::sync::Arc;
 
-        let cache = Arc::new(SharedKernelCache::new(4096, 8));
+        let cache = Arc::new(SharedKernelCache::new(4096));
+        assert_eq!(cache.stripes.len(), 4, "the daemon's default cache keeps four stripes");
         let handles: Vec<_> = (0..8u64)
             .map(|t| {
                 let cache = Arc::clone(&cache);

@@ -20,10 +20,6 @@
 //! point loses no acknowledged ingest. [`load_index`] recovers the
 //! snapshot plus a WAL replay; corpus directories (the `kastio generate`
 //! layout) are a read-only import format.
-//!
-//! Shard placement round-trips without being written down: entries are
-//! saved in id order and placement is the pure function `id % shards`,
-//! so a reload under any shard count answers queries identically.
 
 use std::fs;
 use std::io::{self, BufWriter, Write};
@@ -49,8 +45,8 @@ pub struct SnapshotInfo {
     /// Entries written to the snapshot.
     pub entries: usize,
     /// The corpus generation the snapshot equals: the snapshot is
-    /// exactly the corpus as it stood after this many completed ingests
-    /// (a contiguous id prefix — see [`save_index_wal`] on id gaps).
+    /// exactly the corpus as it stood after this many committed entries,
+    /// the ids `0..generation`.
     pub generation: u64,
 }
 
@@ -64,8 +60,9 @@ pub struct SnapshotInfo {
 /// (replay skips ids below the snapshot's generation), so the daemon
 /// reports success and retries compaction at the next save.
 ///
-/// The entry scan takes shard *read* locks only, so queries keep flowing
-/// while a save runs. Success and failure both update the index's
+/// A save holds the corpus *read* lock only to clone the entry handles,
+/// so queries and ingests keep flowing while it writes, and it copies no
+/// entry. Success and failure both update the index's
 /// [`crate::index::SnapshotStatus`].
 ///
 /// # Errors
@@ -79,22 +76,13 @@ pub fn save_index_wal(
     dir: &Path,
     wal: Option<&WalManager>,
 ) -> Result<SnapshotInfo, CorpusIoError> {
-    // Serialises whole saves. Shard read locks nest inside it and no
+    // Serialises whole saves. The corpus read lock nests inside it and no
     // ingest or query path takes it, so no cycle. The status has its own
     // mutex, locked only briefly below, so STATS never waits on the disk.
     let _save_guard = index.lock_save();
-    // Persist only the contiguous id prefix of the scan. Concurrent
-    // ingests can leave an id *gap* (id 5 allocated but not yet inserted
-    // while id 6 already is); saving the gapped set would renumber
-    // entries on reload and let a later `ingest_auto` reuse an existing
-    // `e<id>` name, silently aliasing two entries. The prefix `0..k` is
-    // exactly the corpus as of generation `k` (ids are dense and entries
-    // immutable once ingested), so recording `last_generation = k` keeps
-    // the skip test sound — and any entry beyond a gap was ingested after
-    // generation `k`, so a later save (the exit-path one runs with all
-    // handlers joined, hence gap-free) necessarily picks it up.
-    let mut entries = index.entries();
-    entries.truncate(contiguous_prefix(&entries));
+    // The corpus is always the id prefix `0..len` (a commit appends in id
+    // order), so its length is the generation the snapshot equals.
+    let entries = index.handles();
     let generation = entries.len() as u64;
     let started = std::time::Instant::now();
     let result =
@@ -129,17 +117,9 @@ pub fn save_index_wal(
     }
 }
 
-/// Length of the leading run of entries whose ids are exactly
-/// `0, 1, 2, …` — the longest prefix that is guaranteed to reload with
-/// identical ids (and therefore identical shard placement and no
-/// `e<id>` name collisions for future auto-named ingests).
-fn contiguous_prefix(entries: &[IndexEntry]) -> usize {
-    entries.iter().enumerate().take_while(|(i, e)| e.id.0 as usize == *i).count()
-}
-
 /// Steps 1–3 of the save protocol: streams one record per entry into the
 /// snapshot file of `dir` and makes it durable. Returns the file's length.
-fn write_snapshot_file(dir: &Path, entries: Vec<IndexEntry>) -> io::Result<u64> {
+fn write_snapshot_file(dir: &Path, entries: Vec<Arc<IndexEntry>>) -> io::Result<u64> {
     let mut bytes = 0u64;
     let write = |file: &fs::File| {
         let mut out = BufWriter::new(file);
@@ -307,9 +287,9 @@ fn replay_wal(index: &PatternIndex, dir: &Path) -> Result<u64, CorpusIoError> {
 
 /// A background thread that snapshots an index every `interval`, skipping
 /// cycles where the corpus generation has not moved (via
-/// [`save_index_if_changed_wal`]). Snapshots run from shard *read* locks,
-/// so queries keep flowing while one is written; failures are reported
-/// on stderr and counted in the index's
+/// [`save_index_if_changed_wal`]). A snapshot holds the corpus lock only
+/// to clone entry handles, so queries keep flowing while one is written;
+/// failures are reported on stderr and counted in the index's
 /// [`crate::index::SnapshotStatus`] (visible over the wire in `STATS`).
 ///
 /// Dropping the handle stops the thread promptly (it does not wait out
@@ -416,29 +396,6 @@ mod tests {
         let b = restored.query(&q, 2);
         assert_eq!(a.neighbors, b.neighbors);
         assert_eq!(a.label, b.label);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn roundtrip_reproduces_shard_placement() {
-        let dir = tmpdir("shards");
-        let opts = IndexOptions { shards: 3, ..IndexOptions::default() };
-        let original = sample_index(opts);
-        original.ingest("extra", "flash", parse_trace("h0 write 64\n").unwrap()).unwrap();
-        save_index_wal(&original, &dir, None).unwrap();
-
-        // Same shard count → identical placement, entry for entry.
-        let restored = load_index(&dir, opts).unwrap();
-        assert_eq!(restored.shard_sizes(), original.shard_sizes());
-        assert_eq!(entry_rows(&restored), entry_rows(&original));
-
-        // Different shard count → same corpus, same query answers.
-        let reshaped =
-            load_index(&dir, IndexOptions { shards: 2, ..IndexOptions::default() }).unwrap();
-        let q = parse_trace(&"h0 write 1048576\n".repeat(6)).unwrap();
-        let want = original.query(&q, 3);
-        let got = reshaped.query(&q, 3);
-        assert_eq!(want.neighbors, got.neighbors);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -578,22 +535,12 @@ mod tests {
 
     #[test]
     fn snapshots_persist_only_the_contiguous_id_prefix() {
-        // A concurrent-ingest id gap (id 2 allocated but not yet
-        // inserted while id 3 already is) must not be persisted: on
-        // reload the entries would renumber and a later auto-named
-        // ingest would reuse an existing `e<id>` name, aliasing two
-        // entries.
+        // The corpus is always the id prefix `0..len`: a save reports
+        // generation == entries and reloads with identical ids, so a
+        // later auto-named ingest can never reuse an existing `e<id>`.
         let index = sample_index(IndexOptions::default());
         index.ingest("third", "flash", parse_trace("h0 write 64\n").unwrap()).unwrap();
         index.ingest("fourth", "flash", parse_trace("h0 write 32\n").unwrap()).unwrap();
-        let mut entries = index.entries();
-        assert_eq!(contiguous_prefix(&entries), 4, "dense ids: whole corpus");
-        entries.remove(2); // simulate the in-flight gap at id 2
-        assert_eq!(contiguous_prefix(&entries), 2, "stop at the first gap");
-        assert_eq!(contiguous_prefix(&entries[..0]), 0, "empty corpus");
-
-        // End to end: a gap-free save reports generation == entries and
-        // reloads with identical ids (the identity renumbering).
         let dir = tmpdir("prefix");
         let info = save_index_wal(&index, &dir, None).unwrap();
         assert_eq!(info, SnapshotInfo { entries: 4, generation: 4 });
@@ -717,7 +664,7 @@ mod tests {
     fn durable_root_recovers_snapshot_plus_wal_replay() {
         let dir = tmpdir("walroot");
         let index = sample_index(IndexOptions::default());
-        let wal = WalManager::open(&dir, 2, Duration::ZERO).unwrap();
+        let wal = WalManager::open(&dir, 1, Duration::ZERO).unwrap();
         append_acked(&wal, 0, "ckpt", "flash", &"h0 write 1048576\n".repeat(8));
         append_acked(&wal, 1, "scan", "posix", &"h0 read 4096\n".repeat(8));
 
@@ -775,7 +722,7 @@ mod tests {
 
         // The daemon's start-up: open the log, establish a snapshot,
         // empty the log and delete the per-shard ones.
-        let wal = WalManager::open(&dir, 4, Duration::ZERO).unwrap();
+        let wal = WalManager::open(&dir, 1, Duration::ZERO).unwrap();
         save_index_wal(&loaded, &dir, Some(&wal)).unwrap();
         wal.truncate_all().unwrap();
         drop(wal);
@@ -795,7 +742,7 @@ mod tests {
     fn every_save_makes_the_snapshot_durable_before_compacting() {
         let dir = tmpdir("order");
         crate::wal::EVENTS.take();
-        let wal = WalManager::open(&dir, 2, Duration::ZERO).unwrap();
+        let wal = WalManager::open(&dir, 1, Duration::ZERO).unwrap();
         // The log's entry, wal/'s, and that of the save root `open`
         // created.
         let fsync = |path: &Path| format!("fsync {}", path.display());

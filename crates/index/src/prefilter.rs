@@ -12,6 +12,10 @@
 //! evaluations), but an aggressive budget can drop a true nearest
 //! neighbour whose signature is unusually far from the query's. The
 //! defaults keep a generous multiple of `k`.
+//!
+//! [`crate::PatternIndex`] runs [`select_candidates`] over its signature
+//! column, whose position `i` holds entry id `i`, so ties break by id.
+//! That scan is the only part of a query that holds the corpus lock.
 
 use kastio_trace::PatternSignature;
 
@@ -101,20 +105,6 @@ pub fn select_candidates(
     signatures: &[PatternSignature],
     budget: usize,
 ) -> Vec<usize> {
-    select_candidates_ranked(query, signatures, budget).into_iter().map(|(_, i)| i).collect()
-}
-
-/// [`select_candidates`] keeping the squared distances alongside the
-/// indices — the form the sharded index merges across shards (a shard's
-/// local top-`budget` is a superset of its contribution to the global
-/// top-`budget`, so per-shard calls to this function followed by a global
-/// `(distance, id)` selection reproduce the unsharded candidate set
-/// exactly).
-pub fn select_candidates_ranked(
-    query: &PatternSignature,
-    signatures: &[PatternSignature],
-    budget: usize,
-) -> Vec<(f64, usize)> {
     let mut ranked: Vec<(f64, usize)> = signatures
         .iter()
         .enumerate()
@@ -128,7 +118,7 @@ pub fn select_candidates_ranked(
         ranked.truncate(budget);
     }
     ranked.sort_by(order);
-    ranked
+    ranked.into_iter().map(|(_, i)| i).collect()
 }
 
 #[cfg(test)]
@@ -158,19 +148,6 @@ mod tests {
         let q = sig(0.0, 0.0, 0.0);
         let corpus = vec![sig(0.5, 0.0, 0.0), sig(-0.5, 0.0, 0.0), sig(0.0, 0.5, 0.0)];
         assert_eq!(select_candidates(&q, &corpus, 3), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn ranked_selection_carries_distances() {
-        let q = sig(0.0, 0.0, 0.0);
-        let corpus = vec![sig(0.3, 0.0, 0.0), sig(0.1, 0.0, 0.0)];
-        let ranked = select_candidates_ranked(&q, &corpus, 2);
-        assert_eq!(ranked.len(), 2);
-        assert_eq!(ranked[0].1, 1);
-        assert!((ranked[0].0 - 0.01).abs() < 1e-12);
-        assert!((ranked[1].0 - 0.09).abs() < 1e-12);
-        // The index-only form is the same selection, distances dropped.
-        assert_eq!(select_candidates(&q, &corpus, 2), vec![1, 0]);
     }
 
     #[test]

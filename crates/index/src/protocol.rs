@@ -577,10 +577,9 @@ impl MetricsSnapshot {
     }
 }
 
-/// Renders index counters as the multi-line `STAT … END` reply, including
-/// the shard count and one `STAT shard<i>_entries` line per shard (their
-/// sum always equals `STAT entries`), the corpus `generation`, and the
-/// snapshot health block (`snapshots`, `snapshot_errors`,
+/// Renders index counters as the multi-line `STAT … END` reply: the entry
+/// count, the corpus `generation`, the work counters, and the snapshot
+/// health block (`snapshots`, `snapshot_errors`,
 /// `last_snapshot_ok` — `1`/`0`, or `-` before any snapshot attempt —
 /// and `last_snapshot_generation`), so a client can tell whether the
 /// on-disk snapshot is current and whether saves have been failing.
@@ -593,23 +592,18 @@ impl MetricsSnapshot {
 /// `STAT latency_<verb>_{p50,p95,p99}_us` triple per verb in `latency`
 /// (the server passes only verbs that have recorded samples, so a fresh
 /// daemon renders no latency lines).
-#[allow(clippy::too_many_arguments)] // one reply, one flat row of sources; a struct would outlive its single call site
 pub fn render_stats_reply(
     entries: usize,
     cached_pairs: usize,
-    shard_sizes: &[usize],
     stats: &IndexStats,
     generation: u64,
     snapshot: &SnapshotStatus,
     metrics: &MetricsSnapshot,
     latency: &[(&str, [u64; 3])],
 ) -> String {
-    let mut out = format!("STAT entries {entries}\nSTAT shards {}\n", shard_sizes.len());
-    for (i, size) in shard_sizes.iter().enumerate() {
-        out.push_str(&format!("STAT shard{i}_entries {size}\n"));
-    }
-    out.push_str(&format!(
-        "STAT generation {generation}\n\
+    let mut out = format!(
+        "STAT entries {entries}\n\
+         STAT generation {generation}\n\
          STAT queries {}\n\
          STAT kernel_evals {}\n\
          STAT cache_hits {}\n\
@@ -638,7 +632,7 @@ pub fn render_stats_reply(
         snapshot.last_generation,
         snapshot.last_duration_micros,
         snapshot.last_bytes,
-    ));
+    );
     // WAL counters: always rendered (zeros without --wal), so parsers
     // never have to branch on the daemon's configuration.
     out.push_str(&format!(
@@ -1145,19 +1139,14 @@ mod tests {
         let reply = render_stats_reply(
             4,
             5,
-            &[2, 1, 1],
             &stats,
             4,
             &SnapshotStatus::default(),
             &metrics,
             &[("query", [10, 90, 120])],
         );
-        assert!(reply.starts_with("STAT entries 4\n"));
-        assert!(reply.contains("STAT shards 3\n"));
-        assert!(reply.contains("STAT shard0_entries 2\n"));
-        assert!(reply.contains("STAT shard1_entries 1\n"));
-        assert!(reply.contains("STAT shard2_entries 1\n"));
-        assert!(reply.contains("STAT generation 4\n"));
+        assert!(reply.starts_with("STAT entries 4\nSTAT generation 4\n"));
+        assert!(!reply.contains("STAT shard"), "one corpus, no shard keys");
         assert!(reply.contains("STAT kernel_evals 5\n"));
         assert!(reply.contains("STAT prefilter_pruned 7\n"));
         assert!(reply.contains("STAT query_self_evals 2\n"));
@@ -1202,7 +1191,6 @@ mod tests {
         let reply = render_stats_reply(
             9,
             0,
-            &[9],
             &IndexStats::default(),
             11,
             &snapshot,

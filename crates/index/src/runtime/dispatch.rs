@@ -361,18 +361,14 @@ pub(crate) fn execute_parsed(
             reply
         }
         Ok(Request::Stats) => {
-            // One shard-size snapshot, with `entries` derived from it:
-            // a concurrent ingest between two separate scans could
-            // otherwise make the reply violate the documented
-            // invariant that the shard counts sum to `entries`.
-            let shard_sizes = index.shard_sizes();
-            let entries = shard_sizes.iter().sum();
+            // One read for both keys: the generation is the entry count,
+            // and a concurrent ingest between two reads could split them.
+            let entries = index.len();
             render_stats_reply(
                 entries,
                 index.cached_pairs(),
-                &shard_sizes,
                 &index.stats(),
-                index.generation(),
+                entries as u64,
                 &snapshot_status_with_wal(index, wal),
                 &metrics.snapshot_with_quota(&ctx.quota),
                 &metrics.latency_quantiles(),

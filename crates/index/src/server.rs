@@ -8,14 +8,14 @@
 //! `runtime` module: one reactor thread owns every socket, and a bounded
 //! worker pool executes the requests.
 //!
-//! There is **no server-side lock**: the index is internally sharded and
+//! There is **no server-side lock**: the index is internally
 //! synchronised (see [`crate::index`]), so the workers share it behind a
-//! plain [`Arc`]. `QUERY`/`MQUERY` take shard *read* locks and run
-//! concurrently with each other; `INGEST`/`BATCH INGEST` write-lock only
-//! the shard that owns each new entry, so writers never stall queries on
-//! the other shards. Each request runs inline on its worker — a query
-//! never spawns threads — so concurrent requests are the daemon's only
-//! parallelism.
+//! plain [`Arc`]. `QUERY`/`MQUERY` read-lock the corpus only for their
+//! signature scan and run concurrently with each other;
+//! `INGEST`/`BATCH INGEST` write-lock it only to append, so a writer
+//! waits for the scans in flight, never for a query's scoring. Each
+//! request runs inline on its worker — a query never spawns threads — so
+//! concurrent requests are the daemon's only parallelism.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -267,7 +267,7 @@ impl ServerMetrics {
 /// use kastio_index::{IndexOptions, PatternIndex, Server};
 ///
 /// # fn main() -> std::io::Result<()> {
-/// let index = PatternIndex::new(IndexOptions { shards: 4, ..IndexOptions::default() });
+/// let index = PatternIndex::new(IndexOptions::default());
 /// let server = Server::bind("127.0.0.1:0", index)?;
 /// println!("listening on {}", server.local_addr()?);
 /// let _index_back = server.serve()?; // blocks until SHUTDOWN
@@ -491,24 +491,17 @@ mod tests {
     use crate::index::IndexOptions;
     use std::io::{BufRead, BufReader, Write};
 
-    fn start_with(opts: IndexOptions) -> (SocketAddr, std::thread::JoinHandle<Arc<PatternIndex>>) {
-        let server = Server::bind("127.0.0.1:0", PatternIndex::new(opts)).unwrap();
-        let addr = server.local_addr().unwrap();
-        let handle = std::thread::spawn(move || server.serve().expect("server runs"));
-        (addr, handle)
-    }
-
     fn start() -> (SocketAddr, std::thread::JoinHandle<Arc<PatternIndex>>) {
-        start_with(IndexOptions::default())
+        start_configured(|server| server)
     }
 
-    /// Like [`start_with`] but lets the test apply governance builders
+    /// Like [`start`] but lets the test apply governance builders
     /// (`with_memory_limit`, `with_max_connections`, ...) before serving.
     fn start_configured(
-        opts: IndexOptions,
         configure: impl FnOnce(Server) -> Server,
     ) -> (SocketAddr, std::thread::JoinHandle<Arc<PatternIndex>>) {
-        let server = configure(Server::bind("127.0.0.1:0", PatternIndex::new(opts)).unwrap());
+        let index = PatternIndex::new(IndexOptions::default());
+        let server = configure(Server::bind("127.0.0.1:0", index).unwrap());
         let addr = server.local_addr().unwrap();
         let handle = std::thread::spawn(move || server.serve().expect("server runs"));
         (addr, handle)
@@ -551,8 +544,7 @@ mod tests {
 
         let reply = roundtrip(&mut stream, "STATS\n");
         assert!(reply.contains("STAT entries 2\n"), "{reply}");
-        assert!(reply.contains("STAT shards 1\n"), "{reply}");
-        assert!(reply.contains("STAT shard0_entries 2\n"), "{reply}");
+        assert!(reply.contains("STAT generation 2\n"), "{reply}");
         assert!(reply.contains("STAT queries 1\n"), "{reply}");
 
         let reply = roundtrip(&mut stream, "BOGUS\n");
@@ -566,7 +558,7 @@ mod tests {
 
     #[test]
     fn batch_ingest_and_mquery_lifecycle() {
-        let (addr, handle) = start_with(IndexOptions { shards: 2, ..IndexOptions::default() });
+        let (addr, handle) = start();
         let mut stream = TcpStream::connect(addr).unwrap();
 
         let reply = roundtrip(
@@ -586,14 +578,11 @@ mod tests {
 
         let reply = roundtrip(&mut stream, "STATS\n");
         assert!(reply.contains("STAT entries 3\n"), "{reply}");
-        assert!(reply.contains("STAT shards 2\n"), "{reply}");
-        assert!(reply.contains("STAT shard0_entries 2\n"), "{reply}");
-        assert!(reply.contains("STAT shard1_entries 1\n"), "{reply}");
+        assert!(reply.contains("STAT generation 3\n"), "{reply}");
 
         assert_eq!(roundtrip(&mut stream, "SHUTDOWN\n"), "OK bye\n");
         let index = handle.join().unwrap();
         assert_eq!(index.len(), 3);
-        assert_eq!(index.shard_sizes(), vec![2, 1]);
     }
 
     #[test]
@@ -641,7 +630,7 @@ mod tests {
 
     #[test]
     fn concurrent_queries_share_the_index_without_a_global_lock() {
-        let (addr, handle) = start_with(IndexOptions { shards: 4, ..IndexOptions::default() });
+        let (addr, handle) = start();
         let mut seed = TcpStream::connect(addr).unwrap();
         for i in 0..8 {
             let reply =
@@ -715,8 +704,7 @@ mod tests {
 
     #[test]
     fn memory_pressure_sheds_ingests_but_keeps_serving() {
-        let (addr, handle) =
-            start_configured(IndexOptions::default(), |s| s.with_memory_limit(Some(4096)));
+        let (addr, handle) = start_configured(|s| s.with_memory_limit(Some(4096)));
         let mut stream = TcpStream::connect(addr).unwrap();
 
         // A small ingest fits the 4 KiB budget.
@@ -761,8 +749,7 @@ mod tests {
 
     #[test]
     fn connection_admission_sheds_with_busy_reply() {
-        let (addr, handle) =
-            start_configured(IndexOptions::default(), |s| s.with_max_connections(1));
+        let (addr, handle) = start_configured(|s| s.with_max_connections(1));
         let mut first = TcpStream::connect(addr).unwrap();
         // Roundtrip guarantees the first connection is registered before
         // the second one races the accept loop.
@@ -789,9 +776,8 @@ mod tests {
 
     #[test]
     fn idle_timeout_closes_silent_connections() {
-        let (addr, handle) = start_configured(IndexOptions::default(), |s| {
-            s.with_idle_timeout(Some(Duration::from_millis(50)))
-        });
+        let (addr, handle) =
+            start_configured(|s| s.with_idle_timeout(Some(Duration::from_millis(50))));
         // Three clients go quiet: one says nothing, one stops mid-line,
         // one stops mid-batch (the header and one of three items). The
         // server must hang up on each of them, not the reverse; the

@@ -193,9 +193,9 @@ impl WalManager {
     /// root. No thread starts: the waiters fsync the log themselves (see
     /// [`Self::wait_durable`]).
     ///
-    /// `_shards` and `_sync_interval` are ignored: the log is one file
-    /// whatever the index's shard count, and commits run on demand, not
-    /// on a timer. Both stay for the callers that still pass them.
+    /// `_shards` and `_sync_interval` are ignored: the log is one file,
+    /// and commits run on demand, not on a timer. Both stay for the
+    /// callers that still pass them; workspace callers pass `1`.
     ///
     /// # Errors
     ///
@@ -471,14 +471,14 @@ mod tests {
     #[test]
     fn append_wait_then_rescan_recovers_every_record() {
         let dir = tmpdir("roundtrip");
-        let wal = WalManager::open(&dir, 2, Duration::ZERO).unwrap();
+        let wal = WalManager::open(&dir, 1, Duration::ZERO).unwrap();
         let mut last = 0;
         for id in 0..6 {
             last = wal.append(&record(id)).unwrap();
         }
         wal.wait_durable(last).unwrap();
 
-        // One log, whatever the shard count, in append order.
+        // One log, in append order.
         let scan = scan_wal(&fs::read(wal_log_path(&dir)).unwrap());
         assert_eq!(scan.records, (0..6).map(record).collect::<Vec<_>>());
         assert!(!scan.truncated);
@@ -495,7 +495,7 @@ mod tests {
     #[test]
     fn compact_keeps_only_records_at_or_past_the_generation() {
         let dir = tmpdir("compact");
-        let wal = WalManager::open(&dir, 2, Duration::ZERO).unwrap();
+        let wal = WalManager::open(&dir, 1, Duration::ZERO).unwrap();
         let mut last = 0;
         for id in 0..8 {
             last = wal.append(&record(id)).unwrap();
@@ -532,7 +532,7 @@ mod tests {
             let path = wal_dir(&dir).join(format!("shard{shard}.log"));
             fs::write(path, encode_wal_record(&record(shard))).unwrap();
         }
-        let wal = WalManager::open(&dir, 3, Duration::ZERO).unwrap();
+        let wal = WalManager::open(&dir, 1, Duration::ZERO).unwrap();
         let last = wal.append(&record(0)).unwrap();
         wal.wait_durable(last).unwrap();
         EVENTS.take();
@@ -550,8 +550,8 @@ mod tests {
     #[test]
     fn concurrent_commits_log_every_record_in_id_order() {
         let dir = tmpdir("concurrent");
-        let wal = WalManager::open(&dir, 4, Duration::ZERO).unwrap();
-        let index = PatternIndex::new(IndexOptions { shards: 4, ..IndexOptions::default() });
+        let wal = WalManager::open(&dir, 1, Duration::ZERO).unwrap();
+        let index = PatternIndex::new(IndexOptions::default());
         std::thread::scope(|scope| {
             for t in 0..4u32 {
                 let (wal, index) = (&wal, &index);

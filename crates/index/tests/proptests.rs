@@ -1,11 +1,13 @@
-//! Property tests for the corpus index: the cache is semantically
-//! invisible, and normalised similarity is a bounded symmetric score.
+//! Property tests for the corpus index: queries equal a brute-force
+//! reference, the cache is semantically invisible, and normalised
+//! similarity is a bounded symmetric score.
 
 use proptest::prelude::*;
 
 use kastio_core::{pattern_string, ByteMode, KastKernel, KastOptions, StringKernel, TokenInterner};
-use kastio_index::{IndexOptions, PatternIndex};
-use kastio_trace::{HandleId, OpKind, Operation, Trace};
+use kastio_index::prefilter::signature_distance2;
+use kastio_index::{IndexOptions, PatternIndex, PrefilterConfig};
+use kastio_trace::{HandleId, OpKind, Operation, PatternSignature, Trace};
 
 /// Small closed vocabulary so random traces share plenty of literals and
 /// the kernel actually has features to find.
@@ -30,8 +32,64 @@ fn arb_corpus() -> impl Strategy<Value = Vec<Trace>> {
     proptest::collection::vec(arb_trace(), 2..6)
 }
 
+/// 8–40 traces drawn from a few distinct ones, so many entries share a
+/// signature and a kernel value: every tie-break gets exercised.
+fn arb_corpus_with_duplicates() -> impl Strategy<Value = Vec<Trace>> {
+    proptest::collection::vec(arb_trace(), 3..10).prop_flat_map(|distinct| {
+        let count = distinct.len();
+        proptest::collection::vec(0..count, 8..41)
+            .prop_map(move |picks| picks.into_iter().map(|i| distinct[i].clone()).collect())
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A query answers exactly what a brute-force reference computes from
+    /// `entries()`: rank every entry by `(signature distance, id)`, keep
+    /// the first `budget_for(k, n)`, score each with
+    /// `KastKernel::normalized`, sort by similarity (descending) then id,
+    /// and keep `k`. The budget is smaller than the corpus for small `k`.
+    #[test]
+    fn queries_equal_a_brute_force_reference(
+        corpus in arb_corpus_with_duplicates(),
+        query in arb_trace(),
+    ) {
+        let prefilter = PrefilterConfig { min_candidates: 3, per_k: 1, ..PrefilterConfig::default() };
+        let index = PatternIndex::new(IndexOptions { prefilter, ..IndexOptions::default() });
+        for (i, trace) in corpus.iter().enumerate() {
+            index.ingest(format!("t{i}"), format!("l{}", i % 3), trace.clone()).unwrap();
+        }
+        let entries = index.entries();
+        let n = entries.len();
+        let query_string = index.intern_trace(&query);
+        let signature = PatternSignature::of(&query, index.options().signature);
+        let mut ranked: Vec<(f64, u32)> = entries
+            .iter()
+            .map(|e| (signature_distance2(&signature, &e.signature), e.id.0))
+            .collect();
+        ranked.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
+
+        for k in [1, 2, 3, 5, 8, 13, 50] {
+            let budget = prefilter.budget_for(k, n);
+            let mut expected: Vec<(u32, f64)> = ranked[..budget]
+                .iter()
+                .map(|&(_, id)| {
+                    (id, index.kernel().normalized(&query_string, &entries[id as usize].string))
+                })
+                .collect();
+            expected.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+            expected.truncate(k);
+
+            let result = index.query(&query, k);
+            prop_assert_eq!(result.candidates, budget, "k={}", k);
+            let got: Vec<(u32, u64)> =
+                result.neighbors.iter().map(|n| (n.id.0, n.similarity.to_bits())).collect();
+            let want: Vec<(u32, u64)> =
+                expected.iter().map(|&(id, similarity)| (id, similarity.to_bits())).collect();
+            prop_assert_eq!(got, want, "k={}", k);
+        }
+    }
 
     /// Cached and uncached kernel lookups are interchangeable: an index
     /// with the LRU disabled, an index answering fresh, and an index

@@ -425,7 +425,6 @@ mod tests {
             clients: 1,
             duration_secs: 1.0,
             server: "self-spawned".to_string(),
-            shards: 1,
             available_parallelism: 1,
             scenarios: vec![crate::report::ScenarioReport::new(
                 "read-heavy",

@@ -69,8 +69,6 @@ pub struct LoadConfig {
     pub seed: u64,
     /// Target an already-running daemon instead of self-spawning one.
     pub addr: Option<String>,
-    /// Shards of the self-spawned server (ignored with `addr`).
-    pub shards: usize,
     /// Memory budget of the self-spawned server (ignored with `addr`) —
     /// the overload scenario pairs a small budget with its write flood
     /// to measure load shedding. `None` (the default) means unlimited.
@@ -88,7 +86,6 @@ impl Default for LoadConfig {
             duration: Duration::from_secs(2),
             seed: 20170904,
             addr: None,
-            shards: 4,
             max_memory_bytes: None,
             seed_corpus: 48,
         }
@@ -174,10 +171,7 @@ pub fn run(config: &LoadConfig) -> Result<Report, String> {
     let (addr, server_label, server_thread, scratch) = match &config.addr {
         Some(addr) => (addr.clone(), addr.clone(), None, None),
         None => {
-            let index = PatternIndex::new(IndexOptions {
-                shards: config.shards,
-                ..IndexOptions::default()
-            });
+            let index = PatternIndex::new(IndexOptions::default());
             // A durable scratch root: SAVE is a first-class verb in the
             // op mixes (save-storm), so the self-spawned server needs a
             // snapshot target — and a WAL, so ingests pay the real
@@ -188,7 +182,7 @@ pub fn run(config: &LoadConfig) -> Result<Report, String> {
                 std::process::id(),
                 SCRATCH_ID.fetch_add(1, Ordering::Relaxed)
             ));
-            let wal = WalManager::open(&scratch, config.shards, Duration::ZERO)
+            let wal = WalManager::open(&scratch, 1, Duration::ZERO)
                 .map_err(|e| format!("cannot open the load server's WAL: {e}"))?;
             let server = Server::bind("127.0.0.1:0", index)
                 .map_err(|e| format!("cannot bind load server: {e}"))?
@@ -246,7 +240,6 @@ fn drive(config: &LoadConfig, addr: &str, server_label: &str) -> Result<Report, 
         clients: config.clients,
         duration_secs: config.duration.as_secs_f64(),
         server: server_label.to_string(),
-        shards: if config.addr.is_none() { config.shards } else { 0 },
         available_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
         scenarios,
     })
@@ -265,7 +258,6 @@ mod tests {
             clients: 2,
             duration: Duration::from_millis(60),
             seed_corpus: 8,
-            shards: 2,
             ..LoadConfig::default()
         };
         let report = run(&config).expect("load run succeeds");
@@ -339,9 +331,9 @@ mod tests {
 
     /// The save-storm contract: snapshots (with WAL compaction) land in
     /// the middle of hot QUERY traffic, and the per-verb histograms let
-    /// us assert they do not stall readers — snapshots run from shard
-    /// *read* locks, so QUERY p99 stays bounded even while SAVE rewrites
-    /// the corpus directory and compacts the logs.
+    /// us assert they do not stall readers — a snapshot holds the corpus
+    /// read lock only to clone entry handles, so QUERY p99 stays bounded
+    /// even while SAVE rewrites the snapshot file and compacts the log.
     #[test]
     fn save_storm_snapshots_do_not_stall_queries() {
         let config = LoadConfig {
@@ -349,7 +341,6 @@ mod tests {
             clients: 2,
             duration: Duration::from_millis(150),
             seed_corpus: 24,
-            shards: 2,
             ..LoadConfig::default()
         };
         let report = run(&config).expect("save-storm run succeeds");
@@ -387,7 +378,8 @@ mod tests {
     /// save-storm, right in the middle of hot QUERY traffic, and the
     /// per-verb histograms prove the point of the scenario — the SAVE
     /// histogram prices a snapshot, the QUERY histogram shows readers
-    /// kept flowing past it (snapshots hold shard *read* locks only).
+    /// kept flowing past it (a snapshot holds the corpus read lock only
+    /// to clone entry handles).
     #[test]
     fn snapshot_stall_keeps_queries_flowing_past_saves() {
         let config = LoadConfig {
@@ -395,7 +387,6 @@ mod tests {
             clients: 2,
             duration: Duration::from_millis(150),
             seed_corpus: 24,
-            shards: 2,
             ..LoadConfig::default()
         };
         let report = run(&config).expect("snapshot-stall run succeeds");
@@ -437,7 +428,6 @@ mod tests {
             clients: 2,
             duration: Duration::from_millis(120),
             seed_corpus: 8,
-            shards: 2,
             ..LoadConfig::default()
         };
         let report = run(&config).expect("churn run succeeds");
@@ -476,7 +466,6 @@ mod tests {
             clients: 2,
             duration: Duration::from_millis(250),
             seed_corpus: 8,
-            shards: 2,
             // 256 KiB: a fat batch is ~90 KB of corpus, so the first few
             // fill it, even on a loaded host that completes only a
             // handful of requests in the 250 ms window.
@@ -534,7 +523,6 @@ mod tests {
         };
         let report = run(&config).expect("external run succeeds");
         assert_eq!(report.server, addr);
-        assert_eq!(report.shards, 0, "external shard count is unknown");
 
         // The server must still answer after the harness detaches.
         let mut control = Control::connect(&addr).expect("server still up");

@@ -77,8 +77,8 @@ pub struct ScenarioReport {
     pub throughput_rps: f64,
     /// Per-verb breakdown, in verb order.
     pub per_verb: Vec<VerbReport>,
-    /// `STATS` after − before, per key (cache hits, kernel evals, shard
-    /// entries, snapshot counters, connection/verb counters, …).
+    /// `STATS` after − before, per key (cache hits, kernel evals, entries,
+    /// snapshot counters, connection/verb counters, …).
     pub stats_delta: BTreeMap<String, i64>,
     /// Server-side latency per verb (lowercase server names), scraped
     /// from the `METRICS` fences. Empty against a server without the
@@ -149,8 +149,6 @@ pub struct Report {
     pub duration_secs: f64,
     /// `self-spawned` or the external server address.
     pub server: String,
-    /// Shards of the self-spawned server (0 when external: unknown).
-    pub shards: usize,
     /// Threads the container advertises (1 on the CI box — quote
     /// latency numbers with that in mind).
     pub available_parallelism: usize,
@@ -188,7 +186,6 @@ impl Report {
         out.push_str(&format!("  \"clients\": {},\n", self.clients));
         out.push_str(&format!("  \"duration_secs\": {},\n", num(self.duration_secs)));
         out.push_str(&format!("  \"server\": \"{}\",\n", escape(&self.server)));
-        out.push_str(&format!("  \"shards\": {},\n", self.shards));
         out.push_str(&format!("  \"available_parallelism\": {},\n", self.available_parallelism));
         out.push_str("  \"scenarios\": [\n");
         for (i, scenario) in self.scenarios.iter().enumerate() {
@@ -286,7 +283,6 @@ mod tests {
             clients: 4,
             duration_secs: 2.0,
             server: "self-spawned".to_string(),
-            shards: 4,
             available_parallelism: 1,
             scenarios: vec![ScenarioReport::new("read-heavy", &run, &before, &after)
                 .with_server_latency(&server_latency)],

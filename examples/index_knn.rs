@@ -13,10 +13,9 @@ use kastio::workloads::generators::{flash_io, random_posix, FlashIoParams, Rando
 use kastio::{IndexOptions, PatternIndex, PrefilterConfig};
 
 fn main() {
-    // `query`/`ingest` take `&self` (the index is internally sharded and
+    // `query`/`ingest` take `&self` (the index is internally
     // synchronised), so no `mut` binding is needed even single-threaded.
     let index = PatternIndex::new(IndexOptions {
-        shards: 2,
         prefilter: PrefilterConfig { min_candidates: 4, per_k: 2, ..PrefilterConfig::default() },
         ..IndexOptions::default()
     });
@@ -40,13 +39,7 @@ fn main() {
             .ingest(format!("posix-{i}"), "random-posix", random_posix(&params, 97 + i as u64))
             .unwrap();
     }
-    println!(
-        "corpus: {} entries across {} shards {:?}, {} ingest evals",
-        index.len(),
-        index.shard_count(),
-        index.shard_sizes(),
-        index.stats().ingest_evals
-    );
+    println!("corpus: {} entries, {} ingest evals", index.len(), index.stats().ingest_evals);
 
     // Classify two probes the index has never seen.
     let probes = [

@@ -25,8 +25,7 @@ fn send(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, request: &str
 }
 
 fn main() -> std::io::Result<()> {
-    let opts = IndexOptions { shards: 2, ..IndexOptions::default() };
-    let server = Server::bind("127.0.0.1:0", PatternIndex::new(opts))?;
+    let server = Server::bind("127.0.0.1:0", PatternIndex::new(IndexOptions::default()))?;
     let addr = server.local_addr()?;
     println!("# kastio serve listening on {addr}");
     let daemon = std::thread::spawn(move || server.serve().expect("daemon runs"));

@@ -6,7 +6,7 @@
 //! kastio compare  <a.trace> <b.trace> [--cut N] [--ignore-bytes] [--explain]
 //! kastio generate <dir> [--seed N]
 //! kastio cluster  <dir> [--cut N] [--ignore-bytes] [--groups K]
-//! kastio serve    [--port N] [--shards N] [--corpus <dir>] [--save <dir>]
+//! kastio serve    [--port N] [--corpus <dir>] [--save <dir>]
 //!                 [--wal] [--snapshot-every <secs>]
 //!                 [--cut N] [--ignore-bytes] [--candidates N]
 //!                 [--slow-query-micros N] [--max-memory-bytes N]
@@ -16,8 +16,7 @@
 //! kastio query    <addr> --snapshot
 //! kastio loadgen  [--scenario NAME] [--clients N] [--duration 2s]
 //!                 [--seed N] [--addr HOST:PORT] [--out FILE]
-//!                 [--shards N] [--dry-run] [--ops N]
-//!                 [--max-memory-bytes N]
+//!                 [--dry-run] [--ops N] [--max-memory-bytes N]
 //! kastio bench-diff <new.json> <baseline.json> [--band PCT]
 //! kastio help     [command]
 //! kastio --version
@@ -58,7 +57,7 @@ usage:
   kastio compare  <a.trace> <b.trace> [--cut N] [--ignore-bytes] [--explain]
   kastio generate <dir> [--seed N]
   kastio cluster  <dir> [--cut N] [--ignore-bytes] [--groups K]
-  kastio serve    [--port N] [--shards N] [--corpus <dir>] [--save <dir>]
+  kastio serve    [--port N] [--corpus <dir>] [--save <dir>]
                   [--wal] [--snapshot-every <secs>]
                   [--cut N] [--ignore-bytes] [--candidates N]
                   [--slow-query-micros N] [--max-memory-bytes N]
@@ -68,8 +67,7 @@ usage:
   kastio query    <addr> --snapshot
   kastio loadgen  [--scenario NAME] [--clients N] [--duration 2s]
                   [--seed N] [--addr HOST:PORT] [--out FILE]
-                  [--shards N] [--dry-run] [--ops N]
-                  [--max-memory-bytes N]
+                  [--dry-run] [--ops N] [--max-memory-bytes N]
   kastio bench-diff <new.json> <baseline.json> [--band PCT]
   kastio help     [command]
   kastio --version
@@ -107,7 +105,7 @@ const HELP_TOPICS: &[(&str, &str)] = &[
     ),
     (
         "serve",
-        "kastio serve [--port N] [--shards N] [--corpus <dir>] [--save <dir>]\n\
+        "kastio serve [--port N] [--corpus <dir>] [--save <dir>]\n\
          \u{20}            [--wal] [--snapshot-every <secs>]\n\
          \u{20}            [--cut N] [--ignore-bytes] [--candidates N]\n\
          \u{20}            [--slow-query-micros N] [--max-memory-bytes N]\n\
@@ -117,16 +115,17 @@ const HELP_TOPICS: &[(&str, &str)] = &[
          <addr>` once bound. One epoll reactor thread owns every\n\
          connection, and a bounded pool of workers (one per core, 2 to\n\
          8) runs each request inline: concurrent requests are the\n\
-         daemon's only parallelism. --shards splits the corpus across N\n\
-         read-concurrent shards (default 4): queries take shard read\n\
-         locks and run in parallel, ingests write-lock only the owning\n\
-         shard. --corpus preloads a save directory or a dataset\n\
-         directory (the `generate` layout). --save makes the daemon\n\
-         durable: the corpus is snapshotted to <save-dir>/snapshot.log\n\
-         (one file, fsync'd, then renamed into place) on SHUTDOWN, on\n\
-         SAVE requests, on SIGTERM/SIGINT, and (with --snapshot-every N)\n\
-         every N seconds in the background while queries keep flowing\n\
-         (idle cycles are skipped). A failed final save exits non-zero.\n\
+         daemon's only parallelism. The corpus is one vector under one\n\
+         lock: a query holds it only for its signature scan, so queries\n\
+         run in parallel, and an ingest holds it only to append, so it\n\
+         never waits for a query's scoring. --corpus preloads a save\n\
+         directory or a dataset directory (the `generate` layout).\n\
+         --save makes the daemon durable: the corpus is snapshotted to\n\
+         <save-dir>/snapshot.log (one file, fsync'd, then renamed into\n\
+         place) on SHUTDOWN, on SAVE requests, on SIGTERM/SIGINT, and\n\
+         (with --snapshot-every N) every N seconds in the background\n\
+         while queries keep flowing (idle cycles are skipped). A failed\n\
+         final save exits non-zero.\n\
          --wal (requires --save) adds a write-ahead log,\n\
          <save-dir>/wal/shard0.log: every INGEST/BATCH INGEST is logged\n\
          as its ids are allocated, so the log is in id order, and\n\
@@ -179,8 +178,7 @@ const HELP_TOPICS: &[(&str, &str)] = &[
         "loadgen",
         "kastio loadgen [--scenario NAME] [--clients N] [--duration 2s]\n\
          \u{20}              [--seed N] [--addr HOST:PORT] [--out FILE]\n\
-         \u{20}              [--shards N] [--dry-run] [--ops N]\n\
-         \u{20}              [--max-memory-bytes N]\n\n\
+         \u{20}              [--dry-run] [--ops N] [--max-memory-bytes N]\n\n\
          End-to-end load harness for the daemon. Runs the named scenario\n\
          (read-heavy | write-heavy | hot-key | save-storm; default: all\n\
          four in that order) with N concurrent clients. Three scenarios\n\
@@ -198,8 +196,8 @@ const HELP_TOPICS: &[(&str, &str)] = &[
          (client-side and, scraped from METRICS fences around each\n\
          scenario, server-side) and the server-side STATS delta to --out\n\
          (default BENCH_serve.json). Without --addr a server is spawned in-process\n\
-         on an ephemeral port (--shards controls its sharding) and shut\n\
-         down afterwards; with --addr the target daemon is left running.\n\
+         on an ephemeral port and shut down afterwards; with --addr the\n\
+         target daemon is left running.\n\
          The request streams are a pure function of --seed and the client\n\
          id — identical runs send identical requests. --dry-run prints\n\
          the first --ops operations (default 20) of every client's stream\n\
@@ -226,7 +224,6 @@ struct Flags {
     groups: usize,
     k: usize,
     port: u16,
-    shards: usize,
     candidates: usize,
     snapshot_every: u64,
     clients: usize,
@@ -274,7 +271,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         groups: 3,
         k: 5,
         port: 7878,
-        shards: 4,
         candidates: PrefilterConfig::default().min_candidates,
         snapshot_every: 0,
         clients: 4,
@@ -325,7 +321,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             | "--groups"
             | "--k"
             | "--port"
-            | "--shards"
             | "--candidates"
             | "--snapshot-every"
             | "--clients"
@@ -343,7 +338,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                     "--seed" => flags.seed = parsed,
                     "--groups" => flags.groups = (parsed as usize).max(1),
                     "--k" => flags.k = (parsed as usize).max(1),
-                    "--shards" => flags.shards = (parsed as usize).max(1),
                     "--candidates" => flags.candidates = (parsed as usize).max(1),
                     "--snapshot-every" => flags.snapshot_every = parsed,
                     "--clients" => flags.clients = (parsed as usize).max(1),
@@ -486,7 +480,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let opts = IndexOptions {
         kast: KastOptions::with_cut_weight(flags.cut),
         byte_mode: byte_mode(flags),
-        shards: flags.shards,
         prefilter: PrefilterConfig {
             min_candidates: flags.candidates,
             ..PrefilterConfig::default()
@@ -512,7 +505,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     // the ids this run is about to assign.
     let wal = match (&save_dir, flags.wal) {
         (Some(dir), true) => {
-            let wal = kastio::WalManager::open(dir, flags.shards, Duration::ZERO)
+            let wal = kastio::WalManager::open(dir, 1, Duration::ZERO)
                 .map_err(|e| format!("cannot open the WAL under {}: {e}", dir.display()))?;
             kastio::save_index_wal(&index, dir, Some(&wal))
                 .map_err(|e| format!("establishing snapshot in {} failed: {e}", dir.display()))?;
@@ -691,7 +684,6 @@ fn cmd_loadgen(flags: &Flags) -> Result<(), String> {
         duration: flags.duration,
         seed: flags.seed,
         addr: flags.addr.clone(),
-        shards: flags.shards,
         max_memory_bytes: flags.max_memory_bytes,
         ..LoadConfig::default()
     };

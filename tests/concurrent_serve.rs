@@ -1,9 +1,8 @@
 //! Concurrent serving: one writer client keeps ingesting while several
-//! reader clients query a `--shards 4` daemon. Every reply must stay
-//! well-formed, every similarity bit-identical to a direct
-//! `KastKernel::normalized` evaluation of the same (query, entry) pair,
-//! and the per-shard entry counts reported by STATS must sum to the
-//! corpus size.
+//! reader clients query the daemon. Every reply must stay well-formed,
+//! every similarity bit-identical to a direct `KastKernel::normalized`
+//! evaluation of the same (query, entry) pair, and STATS must count the
+//! whole corpus.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -30,10 +29,9 @@ impl Drop for ServerGuard {
     }
 }
 
-fn start_server(extra_args: &[&str]) -> ServerGuard {
+fn start_server() -> ServerGuard {
     let mut child = Command::new(env!("CARGO_BIN_EXE_kastio"))
         .args(["serve", "--port", "0"])
-        .args(extra_args)
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()
@@ -122,7 +120,7 @@ fn writer_corpus() -> Vec<(String, Trace)> {
 
 #[test]
 fn sharded_daemon_serves_concurrent_readers_under_writer_load() {
-    let server = start_server(&["--shards", "4"]);
+    let server = start_server();
 
     // Preload via BATCH INGEST: one header, 12 item lines, one reply.
     let initial = initial_corpus();
@@ -245,16 +243,10 @@ fn sharded_daemon_serves_concurrent_readers_under_writer_load() {
         }
     }
 
-    // STATS: 4 shards whose entry counts sum to the corpus size.
+    // STATS: the whole corpus, and every generation it went through.
     let stats = conn.roundtrip("STATS\n");
     assert_eq!(stat_value(&stats, "entries"), 20);
-    assert_eq!(stat_value(&stats, "shards"), 4);
-    let shard_sum: u64 = (0..4).map(|i| stat_value(&stats, &format!("shard{i}_entries"))).sum();
-    assert_eq!(shard_sum, 20, "shard counts sum to the corpus size: {stats:?}");
-    // The id % 4 placement puts exactly 5 of the 20 ids in each shard.
-    for i in 0..4 {
-        assert_eq!(stat_value(&stats, &format!("shard{i}_entries")), 5, "{stats:?}");
-    }
+    assert_eq!(stat_value(&stats, "generation"), 20);
     assert_eq!(
         stat_value(&stats, "queries"),
         3 * 4 * 2 + 2,
@@ -264,15 +256,13 @@ fn sharded_daemon_serves_concurrent_readers_under_writer_load() {
     assert_eq!(conn.roundtrip("SHUTDOWN\n"), vec!["OK bye".to_string()]);
 }
 
-/// The shared kernel cache warms once per (query, entry) pair across the
-/// whole corpus, not once per shard: a repeated hot query is answered
-/// entirely from cache even though its candidates span all 4 shards —
-/// and the similarities stay bit-identical between the cold and warm
-/// passes (the cache changes where values come from, never what they
-/// are).
+/// The shared kernel cache warms once per (query, entry) pair: a
+/// repeated hot query is answered entirely from cache — and the
+/// similarities stay bit-identical between the cold and warm passes (the
+/// cache changes where values come from, never what they are).
 #[test]
 fn shared_cache_warms_a_cross_shard_query_once() {
-    let server = start_server(&["--shards", "4"]);
+    let server = start_server();
     let mut conn = Connection::open(&server.addr);
 
     let initial = initial_corpus();
@@ -290,9 +280,7 @@ fn shared_cache_warms_a_cross_shard_query_once() {
     let cold_hits = stat_value(&after_cold, "cache_hits");
     assert!(cold_evals > 0, "a cold query pays for kernel evaluations: {after_cold:?}");
 
-    // The candidates genuinely span every shard (id % 4 placement of a
-    // 12-entry corpus puts 3 entries in each), so a per-shard cache
-    // would need up to 4 warm-ups. The shared cache needs exactly one.
+    // One warm-up is enough: the warm pass evaluates nothing.
     let warm = conn.roundtrip(&format!("QUERY k=3 {probe}\n"));
     let after_warm = conn.roundtrip("STATS\n");
     assert_eq!(

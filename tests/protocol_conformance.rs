@@ -332,12 +332,43 @@ fn stats_reports_metrics_counters_in_documented_order() {
     conn.roundtrip("FROB\n");
     let stats = conn.roundtrip("STATS\n");
 
-    // The metrics block keys, in the exact order PROTOCOL.md documents.
     let keys: Vec<&str> = stats
         .lines()
         .filter_map(|l| l.strip_prefix("STAT "))
         .map(|l| l.split_whitespace().next().unwrap())
         .collect();
+    // The index block opens the reply, in the exact order PROTOCOL.md
+    // documents. Its WAL keys are rendered even without --wal (all
+    // zeros), so parsers never branch on the daemon's configuration. The
+    // corpus is one vector, so no key names a shard.
+    let index_keys = [
+        "entries",
+        "generation",
+        "queries",
+        "kernel_evals",
+        "cache_hits",
+        "cached_pairs",
+        "prefilter_pruned",
+        "ingest_evals",
+        "query_self_evals",
+        "snapshots",
+        "snapshot_errors",
+        "last_snapshot_ok",
+        "last_snapshot_generation",
+        "last_snapshot_duration_us",
+        "last_snapshot_bytes",
+        "wal_records",
+        "wal_bytes",
+        "wal_fsyncs",
+        "last_replay_records",
+    ];
+    assert_eq!(&keys[..index_keys.len()], &index_keys);
+    assert!(!keys.iter().any(|key| key.starts_with("shard")), "{stats}");
+    for key in ["wal_records", "wal_bytes", "wal_fsyncs", "last_replay_records"] {
+        assert!(stats.contains(&format!("STAT {key} 0\n")), "{key} is zero without --wal: {stats}");
+    }
+
+    // The metrics block follows directly, in the documented order.
     let metrics_keys = [
         "uptime_secs",
         "connections",
@@ -364,7 +395,7 @@ fn stats_reports_metrics_counters_in_documented_order() {
         "shed_connections",
         "timeouts",
     ];
-    let start = keys.iter().position(|&k| k == "uptime_secs").expect("metrics block present");
+    let start = index_keys.len();
     assert_eq!(&keys[start..start + metrics_keys.len()], &metrics_keys);
     for key in [
         "mem_used_bytes",
@@ -375,17 +406,6 @@ fn stats_reports_metrics_counters_in_documented_order() {
         "timeouts",
     ] {
         assert!(stats.contains(&format!("STAT {key} 0\n")), "{key} zero when ungoverned: {stats}");
-    }
-
-    // The WAL block sits immediately before the metrics block and is
-    // rendered even without --wal (all zeros), so parsers never branch
-    // on the daemon's configuration.
-    let wal_keys = ["wal_records", "wal_bytes", "wal_fsyncs", "last_replay_records"];
-    let wal_start = keys.iter().position(|&k| k == "wal_records").expect("wal block present");
-    assert_eq!(&keys[wal_start..wal_start + wal_keys.len()], &wal_keys);
-    assert_eq!(wal_start + wal_keys.len(), start, "wal block directly precedes uptime_secs");
-    for key in wal_keys {
-        assert!(stats.contains(&format!("STAT {key} 0\n")), "{key} is zero without --wal: {stats}");
     }
 
     // And the counters reflect this connection's traffic exactly:

@@ -3,7 +3,7 @@
 //! verb (including via `kastio query --snapshot`), periodic
 //! `--snapshot-every` snapshots surviving a `SIGKILL`, save-failure
 //! surfacing (wire `ERR`, STATS counters, non-zero exit), and reloads
-//! under a different `--shards` count answering queries identically.
+//! answering queries identically.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -265,7 +265,7 @@ fn periodic_snapshots_survive_sigkill() {
 fn save_verb_and_snapshot_client_reload_reproduces_stats() {
     let dir = tmpdir("save-verb");
     let save = dir.join("corpus");
-    let mut server = start_server(&["--save", save.to_str().unwrap(), "--shards", "2"], false);
+    let mut server = start_server(&["--save", save.to_str().unwrap()], false);
     let mut conn = Connection::open(&server.addr);
     let items: Vec<String> = (0..5).map(|i| format!("flash {}", wire_trace(i))).collect();
     let reply = conn.roundtrip(&format!("BATCH INGEST 5\n{}\n", items.join("\n")));
@@ -287,20 +287,17 @@ fn save_verb_and_snapshot_client_reload_reproduces_stats() {
     assert_eq!(stat_value(&stats, "last_snapshot_ok"), 1);
     assert_eq!(stat_value(&stats, "last_snapshot_generation"), 5);
 
-    // Reload under a *different* shard count: STATS entry counts match
-    // and queries answer identically, MATCH line for MATCH line.
-    let mut reloaded = start_server(&["--corpus", save.to_str().unwrap(), "--shards", "3"], false);
+    // Reload: STATS entry counts match and queries answer identically,
+    // MATCH line for MATCH line.
+    let mut reloaded = start_server(&["--corpus", save.to_str().unwrap()], false);
     let mut conn2 = Connection::open(&reloaded.addr);
     let stats2 = conn2.roundtrip("STATS\n");
     assert_eq!(stat_value(&stats2, "entries"), 5, "reload reproduces the entry count");
-    assert_eq!(stat_value(&stats2, "shards"), 3);
-    let shard_sum: u64 = (0..3).map(|i| stat_value(&stats2, &format!("shard{i}_entries"))).sum();
-    assert_eq!(shard_sum, 5);
     for probe in 0..3 {
         let request = format!("QUERY k=3 {}\n", wire_trace(probe));
         let a = conn.roundtrip(&request);
         let b = conn2.roundtrip(&request);
-        assert_eq!(a, b, "probe {probe}: shard count must not change query results");
+        assert_eq!(a, b, "probe {probe}: a reload must not change query results");
     }
 
     conn.roundtrip("SHUTDOWN\n");
