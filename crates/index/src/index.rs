@@ -209,7 +209,8 @@ impl std::fmt::Display for IngestError {
 impl std::error::Error for IngestError {}
 
 /// Health of the index's persistence, maintained by [`crate::save_index_wal`]
-/// and reported over the wire by `STATS`.
+/// and read by the metric table ([`crate::metrics`]) for `STATS` and
+/// `METRICS`.
 ///
 /// `last_ok == None` means no snapshot has been attempted yet.
 /// `last_generation`/`last_entries` describe the most recent *successful*
@@ -239,9 +240,10 @@ pub struct SnapshotStatus {
     /// Bytes written by the last successful snapshot: the length of its
     /// snapshot file.
     pub last_bytes: u64,
-    /// WAL records appended since startup. Maintained live by the
-    /// serving layer (overlaid from [`crate::WalManager`] into the copy
-    /// `STATS`/`METRICS` render); 0 when the daemon runs without
+    /// WAL records appended since startup. The live value sits on
+    /// [`crate::WalManager`]; the metric table ([`crate::metrics`])
+    /// overlays it into the copy it reads with
+    /// [`crate::WalManager::overlay`]. 0 when the daemon runs without
     /// `--wal`.
     pub wal_records: u64,
     /// WAL bytes appended since startup (frames included). Overlaid like
@@ -250,9 +252,10 @@ pub struct SnapshotStatus {
     /// WAL group-commit fsyncs since startup (one per group a leader
     /// fsyncs). Overlaid like `wal_records`.
     pub wal_fsyncs: u64,
-    /// WAL records replayed by the last [`crate::load_index`] recovery
-    /// (0 for a legacy-layout or snapshot-only load). Set at load time,
-    /// not overlaid.
+    /// WAL records the last [`crate::load_index`] replayed on top of its
+    /// base (the snapshot file, a legacy snapshot directory or a corpus
+    /// directory); 0 when the root's logs held nothing past the base.
+    /// Set at load time, not overlaid.
     pub last_replay_records: u64,
 }
 

@@ -60,9 +60,12 @@
 //! `SAVE` / `SHUTDOWN` — specified in `docs/PROTOCOL.md`), and the
 //! `kastio serve` / `kastio query` subcommands front it on the command
 //! line. The daemon keeps live [`ServerMetrics`] (uptime, connections,
-//! per-verb request counters), reported by `STATS`, so a load harness
-//! like `kastio loadgen` can correlate client-side latency with
-//! server-side cache and snapshot behaviour.
+//! per-verb request counters, latency histograms). The [`metrics`]
+//! module declares every `STATS` key and `METRICS` family once, typed
+//! as a counter or a gauge, and renders both replies from that one
+//! table, so a load harness like `kastio loadgen` can difference the
+//! counters ([`metrics::is_counter`]) and correlate client-side latency
+//! with server-side cache and snapshot behaviour.
 //!
 //! # Quickstart
 //!
@@ -85,6 +88,7 @@ pub mod entry;
 pub mod fault;
 pub mod index;
 pub mod lru;
+pub mod metrics;
 pub mod persist;
 pub mod prefilter;
 pub mod protocol;
@@ -106,7 +110,7 @@ pub use persist::{
 pub use prefilter::PrefilterConfig;
 pub use protocol::{
     decode_trace_inline, encode_trace_inline, parse_batch_ingest_item, parse_request, read_reply,
-    MetricsSnapshot, Request, MAX_BATCH_ITEMS, PROTOCOL_VERBS, PROTOCOL_VERSION,
+    Request, MAX_BATCH_ITEMS, PROTOCOL_VERBS, PROTOCOL_VERSION,
 };
 pub use server::{Server, ServerMetrics, ShutdownHandle};
 pub use signal::{watch_termination, SignalWatcher, TermSignal};

@@ -47,10 +47,10 @@
 //! The full specification — framing, size caps, error catalogue and a
 //! worked transcript — lives in `docs/PROTOCOL.md`.
 
-use kastio_obs::{Exposition, Histogram, SlowEntry};
+use kastio_obs::SlowEntry;
 use kastio_trace::{parse_trace, write_trace, Trace};
 
-use crate::index::{IndexStats, QueryResult, SnapshotStatus};
+use crate::index::QueryResult;
 
 /// Upper bound on the item count a `BATCH INGEST`/`MQUERY` header may
 /// announce; clients with more items issue several batches. Memory is
@@ -495,276 +495,6 @@ pub fn render_hello_unsupported(version: u32) -> String {
     format!("ERR unsupported proto {version} (server speaks {PROTOCOL_VERSION})\n")
 }
 
-/// A point-in-time copy of the serve daemon's connection/request
-/// counters, rendered into the `STATS` reply so load runs can be
-/// correlated with server-side behaviour.
-///
-/// All counters are monotonic over the daemon's lifetime (uptime aside,
-/// which is monotonic by definition), so a client can difference two
-/// snapshots to get per-interval rates — exactly what `kastio loadgen`
-/// does around each scenario.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MetricsSnapshot {
-    /// Whole seconds since the listener was bound.
-    pub uptime_secs: u64,
-    /// Connections accepted (shutdown wake-up nudges excluded).
-    pub connections: u64,
-    /// Non-blank request lines received, whether or not they parsed.
-    pub requests: u64,
-    /// `ERR` replies sent (parse failures, bad batch items, failed
-    /// saves, unsupported HELLOs, over-long lines).
-    pub errors: u64,
-    /// Successfully parsed `HELLO` requests.
-    pub hello: u64,
-    /// Successfully parsed `INGEST` requests.
-    pub ingest: u64,
-    /// Successfully parsed `BATCH INGEST` headers.
-    pub batch_ingest: u64,
-    /// Successfully parsed `QUERY` requests.
-    pub query: u64,
-    /// Successfully parsed `MQUERY` headers.
-    pub mquery: u64,
-    /// Successfully parsed `STATS` requests.
-    pub stats: u64,
-    /// Successfully parsed `SAVE` requests.
-    pub save: u64,
-    /// Successfully parsed `SHUTDOWN` requests.
-    pub shutdown: u64,
-    /// Successfully parsed `METRICS` requests.
-    pub metrics: u64,
-    /// Successfully parsed `SLOWLOG` requests (any sub-command).
-    pub slowlog: u64,
-    /// Bytes currently charged against the daemon's memory budget
-    /// (corpus + kernel cache + in-flight request buffers).
-    pub mem_used_bytes: u64,
-    /// The configured `--max-memory-bytes` budget; 0 when unlimited.
-    pub mem_limit_bytes: u64,
-    /// Bytes charged through report-only accounts (interned token
-    /// tables, memoised query self-kernels): live memory that is
-    /// included in `mem_used_bytes` but that no reclaim pass can free.
-    pub mem_unreclaimable_bytes: u64,
-    /// Reclaim passes that actually freed memory (cache clears under
-    /// pressure).
-    pub mem_reclaims: u64,
-    /// `ERR busy reason=memory` replies sent — requests shed by memory
-    /// admission. Matches the busy replies clients observed, one for
-    /// one.
-    pub shed_memory: u64,
-    /// Connections refused with `ERR busy reason=connections` at the
-    /// accept loop (`--max-connections`).
-    pub shed_connections: u64,
-    /// Connections closed by the `--idle-timeout-secs` read deadline.
-    pub timeouts: u64,
-}
-
-impl MetricsSnapshot {
-    /// The per-verb counters as `(name, count)` pairs, in the `STATS`
-    /// documentation order (new verbs append — existing positions are
-    /// part of the wire contract).
-    pub fn verb_counts(&self) -> [(&'static str, u64); 10] {
-        [
-            ("hello", self.hello),
-            ("ingest", self.ingest),
-            ("batch_ingest", self.batch_ingest),
-            ("query", self.query),
-            ("mquery", self.mquery),
-            ("stats", self.stats),
-            ("save", self.save),
-            ("shutdown", self.shutdown),
-            ("metrics", self.metrics),
-            ("slowlog", self.slowlog),
-        ]
-    }
-}
-
-/// Renders index counters as the multi-line `STAT … END` reply: the entry
-/// count, the corpus `generation`, the work counters, and the snapshot
-/// health block (`snapshots`, `snapshot_errors`,
-/// `last_snapshot_ok` — `1`/`0`, or `-` before any snapshot attempt —
-/// and `last_snapshot_generation`), so a client can tell whether the
-/// on-disk snapshot is current and whether saves have been failing.
-/// The trailing block renders the daemon's [`MetricsSnapshot`]: uptime,
-/// connections accepted, total/erroneous request counts and one
-/// `STAT verb_<name>` line per verb, then the memory-governance block
-/// (`mem_used_bytes`, `mem_limit_bytes`, `mem_unreclaimable_bytes`,
-/// `mem_reclaims`, `shed_memory`,
-/// `shed_connections`, `timeouts` — zeros when ungoverned), then one
-/// `STAT latency_<verb>_{p50,p95,p99}_us` triple per verb in `latency`
-/// (the server passes only verbs that have recorded samples, so a fresh
-/// daemon renders no latency lines).
-pub fn render_stats_reply(
-    entries: usize,
-    cached_pairs: usize,
-    stats: &IndexStats,
-    generation: u64,
-    snapshot: &SnapshotStatus,
-    metrics: &MetricsSnapshot,
-    latency: &[(&str, [u64; 3])],
-) -> String {
-    let mut out = format!(
-        "STAT entries {entries}\n\
-         STAT generation {generation}\n\
-         STAT queries {}\n\
-         STAT kernel_evals {}\n\
-         STAT cache_hits {}\n\
-         STAT cached_pairs {cached_pairs}\n\
-         STAT prefilter_pruned {}\n\
-         STAT ingest_evals {}\n\
-         STAT query_self_evals {}\n\
-         STAT snapshots {}\n\
-         STAT snapshot_errors {}\n\
-         STAT last_snapshot_ok {}\n\
-         STAT last_snapshot_generation {}\n\
-         STAT last_snapshot_duration_us {}\n\
-         STAT last_snapshot_bytes {}\n",
-        stats.queries,
-        stats.kernel_evals,
-        stats.cache_hits,
-        stats.prefilter_pruned,
-        stats.ingest_evals,
-        stats.query_self_evals,
-        snapshot.snapshots,
-        snapshot.errors,
-        match snapshot.last_ok {
-            None => "-".to_string(),
-            Some(ok) => u64::from(ok).to_string(),
-        },
-        snapshot.last_generation,
-        snapshot.last_duration_micros,
-        snapshot.last_bytes,
-    );
-    // WAL counters: always rendered (zeros without --wal), so parsers
-    // never have to branch on the daemon's configuration.
-    out.push_str(&format!(
-        "STAT wal_records {}\n\
-         STAT wal_bytes {}\n\
-         STAT wal_fsyncs {}\n\
-         STAT last_replay_records {}\n",
-        snapshot.wal_records, snapshot.wal_bytes, snapshot.wal_fsyncs, snapshot.last_replay_records,
-    ));
-    out.push_str(&format!(
-        "STAT uptime_secs {}\n\
-         STAT connections {}\n\
-         STAT requests_total {}\n\
-         STAT request_errors {}\n",
-        metrics.uptime_secs, metrics.connections, metrics.requests, metrics.errors,
-    ));
-    for (verb, count) in metrics.verb_counts() {
-        out.push_str(&format!("STAT verb_{verb} {count}\n"));
-    }
-    // Memory governance block: always rendered (zeros without
-    // --max-memory-bytes), like the WAL block above.
-    out.push_str(&format!(
-        "STAT mem_used_bytes {}\n\
-         STAT mem_limit_bytes {}\n\
-         STAT mem_unreclaimable_bytes {}\n\
-         STAT mem_reclaims {}\n\
-         STAT shed_memory {}\n\
-         STAT shed_connections {}\n\
-         STAT timeouts {}\n",
-        metrics.mem_used_bytes,
-        metrics.mem_limit_bytes,
-        metrics.mem_unreclaimable_bytes,
-        metrics.mem_reclaims,
-        metrics.shed_memory,
-        metrics.shed_connections,
-        metrics.timeouts,
-    ));
-    for (verb, [p50, p95, p99]) in latency {
-        out.push_str(&format!(
-            "STAT latency_{verb}_p50_us {p50}\n\
-             STAT latency_{verb}_p95_us {p95}\n\
-             STAT latency_{verb}_p99_us {p99}\n"
-        ));
-    }
-    out.push_str("END\n");
-    out
-}
-
-/// Renders the `METRICS` reply: an `OK metrics` header, a
-/// Prometheus-style text exposition of the daemon's observability state,
-/// and the framing `END`.
-///
-/// `verb_latency` and `stage_latency` are `(name, histogram)` pairs in
-/// nanoseconds; the server passes only series with recorded samples.
-/// Bucket bounds are exact nanosecond integers, so a scraper can rebuild
-/// each histogram loss-free from the cumulative `_bucket` series (this is
-/// what `kastio loadgen` does to report server-side latency). Quantile
-/// gauges are also rendered in microseconds under
-/// `kastio_request_latency_us` for dashboards that want digests instead
-/// of buckets.
-pub fn render_metrics_reply(
-    metrics: &MetricsSnapshot,
-    verb_latency: &[(&str, Histogram)],
-    stage_latency: &[(&str, Histogram)],
-    snapshot: &SnapshotStatus,
-    slowlog_len: usize,
-) -> String {
-    let mut exp = Exposition::new();
-    exp.type_line("kastio_uptime_seconds", "gauge");
-    exp.sample("kastio_uptime_seconds", "", metrics.uptime_secs);
-    exp.type_line("kastio_connections_total", "counter");
-    exp.sample("kastio_connections_total", "", metrics.connections);
-    exp.type_line("kastio_requests_total", "counter");
-    exp.sample("kastio_requests_total", "", metrics.requests);
-    exp.type_line("kastio_request_errors_total", "counter");
-    exp.sample("kastio_request_errors_total", "", metrics.errors);
-    exp.type_line("kastio_verb_requests_total", "counter");
-    for (verb, count) in metrics.verb_counts() {
-        exp.sample("kastio_verb_requests_total", &format!("verb=\"{verb}\""), count);
-    }
-    exp.type_line("kastio_request_latency_ns", "histogram");
-    for (verb, histogram) in verb_latency {
-        exp.histogram("kastio_request_latency_ns", &format!("verb=\"{verb}\""), histogram);
-    }
-    exp.type_line("kastio_request_latency_us", "gauge");
-    for (verb, histogram) in verb_latency {
-        for (quantile, p) in [("0.5", 50.0), ("0.95", 95.0), ("0.99", 99.0)] {
-            exp.sample(
-                "kastio_request_latency_us",
-                &format!("verb=\"{verb}\",quantile=\"{quantile}\""),
-                histogram.percentile(p) / 1_000,
-            );
-        }
-    }
-    exp.type_line("kastio_stage_latency_ns", "histogram");
-    for (stage, histogram) in stage_latency {
-        exp.histogram("kastio_stage_latency_ns", &format!("stage=\"{stage}\""), histogram);
-    }
-    exp.type_line("kastio_snapshots_total", "counter");
-    exp.sample("kastio_snapshots_total", "", snapshot.snapshots);
-    exp.type_line("kastio_snapshot_errors_total", "counter");
-    exp.sample("kastio_snapshot_errors_total", "", snapshot.errors);
-    exp.type_line("kastio_last_snapshot_duration_us", "gauge");
-    exp.sample("kastio_last_snapshot_duration_us", "", snapshot.last_duration_micros);
-    exp.type_line("kastio_last_snapshot_bytes", "gauge");
-    exp.sample("kastio_last_snapshot_bytes", "", snapshot.last_bytes);
-    exp.type_line("kastio_wal_records_total", "counter");
-    exp.sample("kastio_wal_records_total", "", snapshot.wal_records);
-    exp.type_line("kastio_wal_bytes_total", "counter");
-    exp.sample("kastio_wal_bytes_total", "", snapshot.wal_bytes);
-    exp.type_line("kastio_wal_fsyncs_total", "counter");
-    exp.sample("kastio_wal_fsyncs_total", "", snapshot.wal_fsyncs);
-    exp.type_line("kastio_wal_replay_records", "gauge");
-    exp.sample("kastio_wal_replay_records", "", snapshot.last_replay_records);
-    exp.type_line("kastio_slowlog_entries", "gauge");
-    exp.sample("kastio_slowlog_entries", "", slowlog_len);
-    exp.type_line("kastio_mem_used_bytes", "gauge");
-    exp.sample("kastio_mem_used_bytes", "", metrics.mem_used_bytes);
-    exp.type_line("kastio_mem_limit_bytes", "gauge");
-    exp.sample("kastio_mem_limit_bytes", "", metrics.mem_limit_bytes);
-    exp.type_line("kastio_mem_unreclaimable_bytes", "gauge");
-    exp.sample("kastio_mem_unreclaimable_bytes", "", metrics.mem_unreclaimable_bytes);
-    exp.type_line("kastio_mem_reclaims_total", "counter");
-    exp.sample("kastio_mem_reclaims_total", "", metrics.mem_reclaims);
-    exp.type_line("kastio_shed_total", "counter");
-    exp.sample("kastio_shed_total", "reason=\"memory\"", metrics.shed_memory);
-    exp.sample("kastio_shed_total", "reason=\"connections\"", metrics.shed_connections);
-    exp.type_line("kastio_timeouts_total", "counter");
-    exp.sample("kastio_timeouts_total", "", metrics.timeouts);
-    format!("OK metrics\n{}END\n", exp.finish())
-}
-
 /// Renders the `SLOWLOG GET` reply: one `SLOW` line per entry (newest
 /// first), each carrying the stage breakdown as comma-joined
 /// `<stage>:<us>` pairs and the compact argument summary. Empty stage
@@ -1115,144 +845,6 @@ mod tests {
         assert_eq!(lines[4], "MATCH 1 A00 A 0.5");
         assert_eq!(lines[5], "END");
         assert_eq!(lines.len(), 6, "one END for the whole block");
-    }
-
-    #[test]
-    fn stats_reply_lists_counters_and_shards() {
-        let stats = IndexStats {
-            queries: 2,
-            kernel_evals: 5,
-            cache_hits: 3,
-            prefilter_pruned: 7,
-            ingest_evals: 4,
-            query_self_evals: 2,
-        };
-        let metrics = MetricsSnapshot {
-            uptime_secs: 7,
-            connections: 3,
-            requests: 11,
-            errors: 1,
-            query: 2,
-            stats: 1,
-            ..MetricsSnapshot::default()
-        };
-        let reply = render_stats_reply(
-            4,
-            5,
-            &stats,
-            4,
-            &SnapshotStatus::default(),
-            &metrics,
-            &[("query", [10, 90, 120])],
-        );
-        assert!(reply.starts_with("STAT entries 4\nSTAT generation 4\n"));
-        assert!(!reply.contains("STAT shard"), "one corpus, no shard keys");
-        assert!(reply.contains("STAT kernel_evals 5\n"));
-        assert!(reply.contains("STAT prefilter_pruned 7\n"));
-        assert!(reply.contains("STAT query_self_evals 2\n"));
-        assert!(reply.contains("STAT snapshots 0\n"));
-        assert!(reply.contains("STAT snapshot_errors 0\n"));
-        assert!(reply.contains("STAT last_snapshot_ok -\n"), "never attempted renders as `-`");
-        assert!(reply.contains("STAT wal_records 0\n"), "wal keys render even without --wal");
-        assert!(reply.contains("STAT wal_bytes 0\n"));
-        assert!(reply.contains("STAT wal_fsyncs 0\n"));
-        assert!(reply.contains("STAT last_replay_records 0\n"));
-        assert!(reply.contains("STAT uptime_secs 7\n"));
-        assert!(reply.contains("STAT connections 3\n"));
-        assert!(reply.contains("STAT requests_total 11\n"));
-        assert!(reply.contains("STAT request_errors 1\n"));
-        assert!(reply.contains("STAT verb_query 2\n"));
-        assert!(reply.contains("STAT verb_stats 1\n"));
-        assert!(reply.contains("STAT verb_ingest 0\n"));
-        assert!(reply.contains("STAT verb_metrics 0\n"));
-        assert!(reply.contains("STAT verb_slowlog 0\n"));
-        assert!(reply.contains("STAT latency_query_p50_us 10\n"));
-        assert!(reply.contains("STAT latency_query_p95_us 90\n"));
-        assert!(reply.contains("STAT latency_query_p99_us 120\n"));
-        assert!(reply.ends_with("END\n"));
-    }
-
-    #[test]
-    fn stats_reply_reports_snapshot_health() {
-        let snapshot = SnapshotStatus {
-            snapshots: 3,
-            errors: 1,
-            last_ok: Some(false),
-            last_generation: 9,
-            last_entries: 9,
-            last_duration_micros: 1234,
-            last_bytes: 4096,
-            wal_records: 17,
-            wal_bytes: 2048,
-            wal_fsyncs: 5,
-            last_replay_records: 6,
-            ..SnapshotStatus::default()
-        };
-        let reply = render_stats_reply(
-            9,
-            0,
-            &IndexStats::default(),
-            11,
-            &snapshot,
-            &MetricsSnapshot::default(),
-            &[],
-        );
-        assert!(reply.contains("STAT generation 11\n"));
-        assert!(reply.contains("STAT snapshots 3\n"));
-        assert!(reply.contains("STAT snapshot_errors 1\n"));
-        assert!(reply.contains("STAT last_snapshot_ok 0\n"));
-        assert!(reply.contains("STAT last_snapshot_generation 9\n"));
-        assert!(reply.contains("STAT last_snapshot_duration_us 1234\n"));
-        assert!(reply.contains("STAT last_snapshot_bytes 4096\n"));
-        assert!(reply.contains("STAT wal_records 17\n"));
-        assert!(reply.contains("STAT wal_bytes 2048\n"));
-        assert!(reply.contains("STAT wal_fsyncs 5\n"));
-        assert!(reply.contains("STAT last_replay_records 6\n"));
-    }
-
-    #[test]
-    fn metrics_reply_renders_a_framed_exposition() {
-        let metrics = MetricsSnapshot { requests: 9, query: 4, ..MetricsSnapshot::default() };
-        let mut query_latency = Histogram::new();
-        query_latency.record_n(2_000, 4);
-        let mut kernel = Histogram::new();
-        kernel.record(1_500);
-        let snapshot = SnapshotStatus {
-            last_duration_micros: 77,
-            last_bytes: 512,
-            wal_records: 21,
-            wal_bytes: 9000,
-            wal_fsyncs: 4,
-            last_replay_records: 2,
-            ..SnapshotStatus::default()
-        };
-        let reply = render_metrics_reply(
-            &metrics,
-            &[("query", query_latency)],
-            &[("kernel", kernel)],
-            &snapshot,
-            3,
-        );
-        assert!(reply.starts_with("OK metrics\n"));
-        assert!(reply.ends_with("END\n"));
-        assert!(reply.contains("# TYPE kastio_requests_total counter\n"));
-        assert!(reply.contains("kastio_requests_total 9\n"));
-        assert!(reply.contains("kastio_verb_requests_total{verb=\"query\"} 4\n"));
-        assert!(reply.contains("kastio_request_latency_ns_bucket{verb=\"query\",le=\"+Inf\"} 4\n"));
-        assert!(reply.contains("kastio_request_latency_ns_count{verb=\"query\"} 4\n"));
-        assert!(reply.contains("kastio_request_latency_us{verb=\"query\",quantile=\"0.99\"} 2\n"));
-        assert!(reply.contains("kastio_stage_latency_ns_count{stage=\"kernel\"} 1\n"));
-        assert!(reply.contains("kastio_last_snapshot_duration_us 77\n"));
-        assert!(reply.contains("kastio_last_snapshot_bytes 512\n"));
-        assert!(reply.contains("# TYPE kastio_wal_records_total counter\n"));
-        assert!(reply.contains("kastio_wal_records_total 21\n"));
-        assert!(reply.contains("kastio_wal_bytes_total 9000\n"));
-        assert!(reply.contains("kastio_wal_fsyncs_total 4\n"));
-        assert!(reply.contains("kastio_wal_replay_records 2\n"));
-        assert!(reply.contains("kastio_slowlog_entries 3\n"));
-        // No exposition line can alias the frame terminator.
-        let inner = &reply["OK metrics\n".len()..reply.len() - "END\n".len()];
-        assert!(inner.lines().all(|line| line != "END"));
     }
 
     #[test]

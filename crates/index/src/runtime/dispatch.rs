@@ -22,12 +22,12 @@ use kastio_trace::Trace;
 
 use crate::entry::EntryId;
 use crate::index::{PatternIndex, QueryTimings};
+use crate::metrics::{render_metrics, render_stats, Sources};
 use crate::persist::save_index_wal;
 use crate::protocol::{
-    decode_trace_inline, render_hello_reply, render_hello_unsupported, render_metrics_reply,
-    render_mquery_reply, render_query_reply, render_slowlog_get, render_slowlog_len,
-    render_slowlog_reset, render_stats_reply, render_trace_line, FramedLine, Request, SlowlogCmd,
-    PROTOCOL_VERSION,
+    decode_trace_inline, render_hello_reply, render_hello_unsupported, render_mquery_reply,
+    render_query_reply, render_slowlog_get, render_slowlog_len, render_slowlog_reset,
+    render_trace_line, FramedLine, Request, SlowlogCmd, PROTOCOL_VERSION,
 };
 use crate::server::{
     verb_slot, ServerMetrics, STAGE_CACHE, STAGE_KERNEL, STAGE_PARSE, STAGE_PREFILTER, STAGE_REPLY,
@@ -361,26 +361,11 @@ pub(crate) fn execute_parsed(
             reply
         }
         Ok(Request::Stats) => {
-            // One read for both keys: the generation is the entry count,
-            // and a concurrent ingest between two reads could split them.
-            let entries = index.len();
-            render_stats_reply(
-                entries,
-                index.cached_pairs(),
-                &index.stats(),
-                entries as u64,
-                &snapshot_status_with_wal(index, wal),
-                &metrics.snapshot_with_quota(&ctx.quota),
-                &metrics.latency_quantiles(),
-            )
+            render_stats(&Sources::read(index, wal, metrics, &ctx.quota, ctx.slow_log.len()))
         }
-        Ok(Request::Metrics) => render_metrics_reply(
-            &metrics.snapshot_with_quota(&ctx.quota),
-            &metrics.verb_latency_snapshots(),
-            &metrics.stage_latency_snapshots(),
-            &snapshot_status_with_wal(index, wal),
-            ctx.slow_log.len(),
-        ),
+        Ok(Request::Metrics) => {
+            render_metrics(&Sources::read(index, wal, metrics, &ctx.quota, ctx.slow_log.len()))
+        }
         Ok(Request::Slowlog(SlowlogCmd::Get)) => render_slowlog_get(&ctx.slow_log.entries()),
         Ok(Request::Slowlog(SlowlogCmd::Len)) => render_slowlog_len(ctx.slow_log.len()),
         Ok(Request::Slowlog(SlowlogCmd::Reset)) => {
@@ -508,17 +493,4 @@ fn ingest_durably(
         .commit(prepared, |entries| entries.iter().try_fold(0, |_, entry| wal.append_entry(entry)));
     last.and_then(|seq| wal.wait_durable(seq)).map_err(|e| format!("ERR wal: {e}\n"))?;
     Ok(first)
-}
-
-/// The index's snapshot status with the live WAL counters overlaid (when
-/// a WAL is attached) — the form `STATS` / `METRICS` report.
-pub(crate) fn snapshot_status_with_wal(
-    index: &PatternIndex,
-    wal: Option<&WalManager>,
-) -> crate::index::SnapshotStatus {
-    let mut status = index.snapshot_status();
-    if let Some(wal) = wal {
-        wal.overlay(&mut status);
-    }
-    status
 }

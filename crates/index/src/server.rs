@@ -24,15 +24,16 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use kastio_obs::{Histogram, SlowLog, StripedHistogram};
+use kastio_obs::{SlowLog, StripedHistogram};
 use kastio_quota::MemoryQuota;
 
 use crate::index::PatternIndex;
-use crate::protocol::{MetricsSnapshot, Request};
+use crate::protocol::Request;
 use crate::runtime::{self, ServeState};
 use crate::wal::WalManager;
 
-/// Per-verb histogram slots, in [`MetricsSnapshot::verb_counts`] order.
+/// Per-verb counter and histogram slots, in `STATS` order (the
+/// `verb_*` rows of [`crate::metrics`]).
 pub(crate) const VERB_NAMES: [&str; 10] = [
     "hello",
     "ingest",
@@ -50,7 +51,7 @@ pub(crate) const VERB_NAMES: [&str; 10] = [
 /// request-line parsing (plus item-line reads for the batched forms);
 /// `prefilter`/`cache`/`kernel` come from the index's [`QueryTimings`];
 /// `reply` is the reply write + flush.
-const STAGE_NAMES: [&str; 5] = ["parse", "prefilter", "cache", "kernel", "reply"];
+pub(crate) const STAGE_NAMES: [&str; 5] = ["parse", "prefilter", "cache", "kernel", "reply"];
 
 pub(crate) const STAGE_PARSE: usize = 0;
 pub(crate) const STAGE_PREFILTER: usize = 1;
@@ -75,7 +76,9 @@ pub(crate) fn verb_slot(request: &Request) -> usize {
 }
 
 /// Live connection/request counters of a running daemon, shared by the
-/// reactor and its workers and reported in the `STATS` reply.
+/// reactor and its workers. The metric table in [`crate::metrics`] reads
+/// the fields directly to render `STATS` and `METRICS`; nothing else
+/// reads them.
 ///
 /// Counters are plain relaxed atomics: they are observability data with
 /// no ordering relationship to the index's own synchronisation, so the
@@ -93,30 +96,30 @@ pub(crate) fn verb_slot(request: &Request) -> usize {
 ///
 /// Latency is recorded into [`StripedHistogram`]s — one per verb for
 /// total request latency, one per pipeline stage — so concurrent threads
-/// rarely contend; `METRICS` and `STATS` merge the stripes into
-/// point-in-time [`Histogram`] snapshots.
+/// rarely contend; a `STATS` or `METRICS` reply merges the stripes into
+/// point-in-time histograms.
 #[derive(Debug)]
 pub struct ServerMetrics {
-    started: Instant,
-    connections: AtomicU64,
-    requests: AtomicU64,
-    errors: AtomicU64,
+    pub(crate) started: Instant,
+    pub(crate) connections: AtomicU64,
+    pub(crate) requests: AtomicU64,
+    pub(crate) errors: AtomicU64,
     /// `ERR busy reason=memory` replies sent (ingest admission or
     /// request-buffer admission refused).
-    shed_memory: AtomicU64,
+    pub(crate) shed_memory: AtomicU64,
     /// Connections refused at the accept loop (`--max-connections`).
-    shed_connections: AtomicU64,
+    pub(crate) shed_connections: AtomicU64,
     /// Connections closed by the idle reaper.
-    timeouts: AtomicU64,
-    verbs: [AtomicU64; VERB_NAMES.len()],
+    pub(crate) timeouts: AtomicU64,
+    pub(crate) verbs: [AtomicU64; VERB_NAMES.len()],
     /// Per-verb request latency (read → reply flushed), nanoseconds.
-    verb_latency: [StripedHistogram; VERB_NAMES.len()],
+    pub(crate) verb_latency: [StripedHistogram; VERB_NAMES.len()],
     /// Per-stage latency across all requests, nanoseconds.
-    stage_latency: [StripedHistogram; STAGE_NAMES.len()],
+    pub(crate) stage_latency: [StripedHistogram; STAGE_NAMES.len()],
 }
 
 impl ServerMetrics {
-    fn new() -> ServerMetrics {
+    pub(crate) fn new() -> ServerMetrics {
         ServerMetrics {
             started: Instant::now(),
             connections: AtomicU64::new(0),
@@ -175,81 +178,6 @@ impl ServerMetrics {
     /// timestamp base.
     pub(crate) fn uptime_micros(&self) -> u64 {
         u64::try_from(self.started.elapsed().as_micros()).unwrap_or(u64::MAX)
-    }
-
-    /// Merged per-verb latency histograms for verbs with at least one
-    /// sample, in documentation order.
-    pub fn verb_latency_snapshots(&self) -> Vec<(&'static str, Histogram)> {
-        VERB_NAMES
-            .iter()
-            .zip(&self.verb_latency)
-            .filter(|(_, striped)| striped.count() > 0)
-            .map(|(name, striped)| (*name, striped.snapshot()))
-            .collect()
-    }
-
-    /// Merged per-stage latency histograms for stages with at least one
-    /// sample, in pipeline order.
-    pub fn stage_latency_snapshots(&self) -> Vec<(&'static str, Histogram)> {
-        STAGE_NAMES
-            .iter()
-            .zip(&self.stage_latency)
-            .filter(|(_, striped)| striped.count() > 0)
-            .map(|(name, striped)| (*name, striped.snapshot()))
-            .collect()
-    }
-
-    /// Per-verb `[p50, p95, p99]` total-latency quantiles in
-    /// microseconds, for verbs with at least one sample — the `STATS`
-    /// latency block.
-    pub fn latency_quantiles(&self) -> Vec<(&'static str, [u64; 3])> {
-        self.verb_latency_snapshots()
-            .into_iter()
-            .map(|(name, histogram)| {
-                let us = |p: f64| histogram.percentile(p) / 1_000;
-                (name, [us(50.0), us(95.0), us(99.0)])
-            })
-            .collect()
-    }
-
-    /// A point-in-time copy of every counter, for rendering or testing.
-    /// The memory gauges (`mem_*`) are zero here — they live on the
-    /// [`MemoryQuota`], overlaid by
-    /// [`ServerMetrics::snapshot_with_quota`].
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let verb = |slot: usize| self.verbs[slot].load(Ordering::Relaxed);
-        MetricsSnapshot {
-            uptime_secs: self.started.elapsed().as_secs(),
-            connections: self.connections.load(Ordering::Relaxed),
-            requests: self.requests.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            shed_memory: self.shed_memory.load(Ordering::Relaxed),
-            shed_connections: self.shed_connections.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
-            hello: verb(0),
-            ingest: verb(1),
-            batch_ingest: verb(2),
-            query: verb(3),
-            mquery: verb(4),
-            stats: verb(5),
-            save: verb(6),
-            shutdown: verb(7),
-            metrics: verb(8),
-            slowlog: verb(9),
-            ..MetricsSnapshot::default()
-        }
-    }
-
-    /// [`ServerMetrics::snapshot`] with the memory-governance gauges of
-    /// the daemon's [`MemoryQuota`] overlaid — the form `STATS` and
-    /// `METRICS` report.
-    pub fn snapshot_with_quota(&self, quota: &MemoryQuota) -> MetricsSnapshot {
-        let mut snapshot = self.snapshot();
-        snapshot.mem_used_bytes = quota.used();
-        snapshot.mem_limit_bytes = quota.limit().unwrap_or(0);
-        snapshot.mem_unreclaimable_bytes = quota.unreclaimable();
-        snapshot.mem_reclaims = quota.reclaims();
-        snapshot
     }
 }
 
@@ -421,13 +349,6 @@ impl Server {
     /// snapshot the corpus while [`Server::serve`] blocks.
     pub fn index(&self) -> Arc<PatternIndex> {
         Arc::clone(&self.index)
-    }
-
-    /// The daemon's connection/request counters, shared. Lets a caller
-    /// (tests, an embedding process) observe traffic while
-    /// [`Server::serve`] blocks.
-    pub fn metrics(&self) -> Arc<ServerMetrics> {
-        Arc::clone(&self.metrics)
     }
 
     /// A handle that stops the serve loop from another thread.
@@ -950,7 +871,7 @@ mod tests {
         let server =
             Server::bind("127.0.0.1:0", PatternIndex::new(IndexOptions::default())).unwrap();
         let addr = server.local_addr().unwrap();
-        let metrics = server.metrics();
+        let metrics = Arc::clone(&server.metrics);
         let handle = std::thread::spawn(move || server.serve().expect("server runs"));
 
         let mut first = TcpStream::connect(addr).unwrap();
@@ -973,11 +894,10 @@ mod tests {
 
         assert_eq!(roundtrip(&mut second, "SHUTDOWN\n"), "OK bye\n");
         handle.join().unwrap();
-        let snapshot = metrics.snapshot();
-        assert_eq!(snapshot.connections, 2);
-        assert_eq!(snapshot.shutdown, 1);
-        assert_eq!(snapshot.requests, 6);
-        assert_eq!(snapshot.errors, 1);
+        assert_eq!(metrics.connections.load(Ordering::Relaxed), 2);
+        assert_eq!(metrics.verbs[7].load(Ordering::Relaxed), 1, "one SHUTDOWN");
+        assert_eq!(metrics.requests.load(Ordering::Relaxed), 6);
+        assert_eq!(metrics.errors.load(Ordering::Relaxed), 1);
     }
 
     #[test]

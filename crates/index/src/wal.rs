@@ -378,8 +378,9 @@ impl WalManager {
         sync_dir(wal)
     }
 
-    /// Copies the live WAL counters into a [`SnapshotStatus`] (the form
-    /// `STATS` / `METRICS` report them in). Every fsync covers at least
+    /// Copies the live WAL counters into a [`SnapshotStatus`], the copy
+    /// the metric table ([`crate::metrics`]) reads for `STATS` and
+    /// `METRICS`. Every fsync covers at least
     /// one record counted before it, and the fsync count is read first,
     /// so every copy has `wal_fsyncs ≤ wal_records`.
     pub fn overlay(&self, status: &mut SnapshotStatus) {

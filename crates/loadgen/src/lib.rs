@@ -54,7 +54,7 @@ pub use histogram::Histogram;
 pub use report::{Report, ScenarioReport, ServerLatency, VerbReport};
 pub use scenario::{dry_run_trace, Op, ScenarioGen, ScenarioKind, TracePool};
 pub use scrape::{latency_delta, parse_latency_buckets, LatencyBuckets};
-pub use stats::{parse_stats, stats_delta};
+pub use stats::{parse_stats, stats_delta, stats_gauges};
 
 /// Everything a load run needs; `kastio loadgen` builds one from flags.
 #[derive(Debug, Clone)]
@@ -271,7 +271,7 @@ mod tests {
             // Server-side counter moved by at least the client-side count
             // (the fences themselves add a couple of STATS requests).
             assert!(
-                delta_requests >= scenario.requests as i64,
+                delta_requests >= scenario.requests,
                 "{}: server saw {} requests, clients sent {}",
                 scenario.name,
                 delta_requests,
@@ -446,12 +446,12 @@ mod tests {
         let delta = |key: &str| scenario.stats_delta.get(key).copied().unwrap_or(0);
         assert_eq!(
             delta("connections"),
-            query.count as i64,
+            query.count,
             "server accepted a different number of connections than ops: {:?}",
             scenario.stats_delta
         );
         // And each of those connections said HELLO before its QUERY.
-        assert_eq!(delta("verb_hello"), query.count as i64, "{:?}", scenario.stats_delta);
+        assert_eq!(delta("verb_hello"), query.count, "{:?}", scenario.stats_delta);
     }
 
     /// The overload contract: against a deliberately tiny memory budget
@@ -489,7 +489,7 @@ mod tests {
         let delta = |key: &str| scenario.stats_delta.get(key).copied().unwrap_or(0);
         assert_eq!(
             delta("shed_memory"),
-            scenario.busy as i64,
+            scenario.busy,
             "server-side sheds vs client-observed busy replies: {:?}",
             scenario.stats_delta
         );

@@ -1,11 +1,12 @@
 //! The `BENCH_serve.json` document: per-scenario, per-verb throughput
-//! and latency quantiles plus the server-side STATS deltas, rendered
-//! with a hand-rolled JSON writer (the build environment has no serde).
+//! and latency quantiles plus the server-side STATS counter deltas and
+//! gauge after-values, rendered with a hand-rolled JSON writer (the
+//! build environment has no serde).
 
 use std::collections::BTreeMap;
 
 use crate::client::ScenarioRun;
-use crate::stats::stats_delta;
+use crate::stats::{stats_delta, stats_gauges};
 
 /// Latency/throughput summary for one verb within one scenario.
 #[derive(Debug, Clone)]
@@ -77,9 +78,12 @@ pub struct ScenarioReport {
     pub throughput_rps: f64,
     /// Per-verb breakdown, in verb order.
     pub per_verb: Vec<VerbReport>,
-    /// `STATS` after − before, per key (cache hits, kernel evals, entries,
-    /// snapshot counters, connection/verb counters, …).
-    pub stats_delta: BTreeMap<String, i64>,
+    /// `STATS` after − before, per counter key (cache hits, kernel
+    /// evals, snapshot counters, connection/verb counters, …).
+    pub stats_delta: BTreeMap<String, u64>,
+    /// `STATS` after-values of the gauge keys (entries, uptime, memory
+    /// gauges, latency digests, …), which are never differenced.
+    pub stats_gauges: BTreeMap<String, u64>,
     /// Server-side latency per verb (lowercase server names), scraped
     /// from the `METRICS` fences. Empty against a server without the
     /// `METRICS` verb.
@@ -120,6 +124,7 @@ impl ScenarioReport {
             throughput_rps: run.requests as f64 / secs,
             per_verb,
             stats_delta: stats_delta(before, after),
+            stats_gauges: stats_gauges(after),
             server_latency: BTreeMap::new(),
         }
     }
@@ -177,6 +182,16 @@ fn num(value: f64) -> String {
     }
 }
 
+/// Renders `"<name>": { "<key>": <value>, … }` at scenario depth.
+fn push_map(out: &mut String, name: &str, map: &BTreeMap<String, u64>, trailer: &str) {
+    out.push_str(&format!("      \"{name}\": {{\n"));
+    for (j, (key, value)) in map.iter().enumerate() {
+        let comma = if j + 1 < map.len() { "," } else { "" };
+        out.push_str(&format!("        \"{}\": {value}{comma}\n", escape(key)));
+    }
+    out.push_str(&format!("      }}{trailer}\n"));
+}
+
 impl Report {
     /// Renders the document as pretty-printed JSON.
     pub fn to_json(&self) -> String {
@@ -231,17 +246,8 @@ impl Report {
                 ));
             }
             out.push_str("      },\n");
-            out.push_str("      \"stats_delta\": {\n");
-            let deltas: Vec<_> = scenario.stats_delta.iter().collect();
-            for (j, (key, delta)) in deltas.iter().enumerate() {
-                out.push_str(&format!(
-                    "        \"{}\": {}{}\n",
-                    escape(key),
-                    delta,
-                    if j + 1 < deltas.len() { "," } else { "" },
-                ));
-            }
-            out.push_str("      }\n");
+            push_map(&mut out, "stats_delta", &scenario.stats_delta, ",");
+            push_map(&mut out, "stats_gauges", &scenario.stats_gauges, "");
             out.push_str(&format!(
                 "    }}{}\n",
                 if i + 1 < self.scenarios.len() { "," } else { "" }
@@ -273,8 +279,8 @@ mod tests {
             errors: 2,
             busy: 1,
         };
-        let before = crate::stats::parse_stats("STAT cache_hits 5\nEND\n").unwrap();
-        let after = crate::stats::parse_stats("STAT cache_hits 25\nEND\n").unwrap();
+        let before = crate::stats::parse_stats("STAT entries 3\nSTAT cache_hits 5\nEND\n").unwrap();
+        let after = crate::stats::parse_stats("STAT entries 4\nSTAT cache_hits 25\nEND\n").unwrap();
         let mut server_hist = Histogram::new();
         server_hist.record_n(500_000, 50);
         let server_latency = BTreeMap::from([("query".to_string(), server_hist)]);
@@ -302,7 +308,8 @@ mod tests {
             "\"p50_us\":",
             "\"p95_us\":",
             "\"p99_us\":",
-            "\"cache_hits\": 20",
+            "\"stats_delta\": {\n        \"cache_hits\": 20\n      },",
+            "\"stats_gauges\": {\n        \"entries\": 4\n      }\n",
             "\"server_latency\": {",
             "\"query\": {\"count\": 50,",
         ] {

@@ -1,8 +1,11 @@
-//! Parsing the daemon's `STATS` reply and differencing two snapshots, so
-//! a load run can attribute cache hits, kernel evaluations and snapshot
-//! activity to the scenario that ran between them.
+//! Parsing the daemon's `STATS` reply and comparing two snapshots, so a
+//! load run can attribute cache hits, kernel evaluations and snapshot
+//! activity to the scenario that ran between them. Only counters are
+//! differenced; the daemon's metric table says which keys those are.
 
 use std::collections::BTreeMap;
+
+use kastio_index::metrics::is_counter;
 
 /// Parses a framed `STAT <key> <value> … END` reply into a key → value
 /// map. Non-numeric values (`last_snapshot_ok -` before any snapshot)
@@ -36,28 +39,35 @@ pub fn parse_stats(reply: &str) -> Result<BTreeMap<String, u64>, String> {
     Err("STATS reply not terminated by END".to_string())
 }
 
-/// Per-key `after - before` (signed: a key can shrink, e.g. `uptime`
-/// never but `cached_pairs` can on eviction). Keys present on only one
-/// side are treated as 0 on the other.
+/// `after - before` for every counter key (as
+/// [`kastio_index::metrics::is_counter`] types them). A key missing on
+/// one side reads as 0 there, and a counter that shrank (the server
+/// restarted between the readings) reads as 0.
 pub fn stats_delta(
     before: &BTreeMap<String, u64>,
     after: &BTreeMap<String, u64>,
-) -> BTreeMap<String, i64> {
+) -> BTreeMap<String, u64> {
     let mut delta = BTreeMap::new();
-    for key in before.keys().chain(after.keys()) {
-        let b = before.get(key).copied().unwrap_or(0) as i64;
-        let a = after.get(key).copied().unwrap_or(0) as i64;
-        delta.entry(key.clone()).or_insert(a - b);
+    for key in before.keys().chain(after.keys()).filter(|key| is_counter(key)) {
+        let b = before.get(key).copied().unwrap_or(0);
+        let a = after.get(key).copied().unwrap_or(0);
+        delta.entry(key.clone()).or_insert(a.saturating_sub(b));
     }
     delta
+}
+
+/// The after-value of every gauge key: sizes, the snapshot block,
+/// uptime, the memory gauges and the `latency_*` digests. A level is
+/// never differenced.
+pub fn stats_gauges(after: &BTreeMap<String, u64>) -> BTreeMap<String, u64> {
+    after.iter().filter(|(key, _)| !is_counter(key)).map(|(k, v)| (k.clone(), *v)).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const REPLY: &str = "STAT entries 3\nSTAT shards 2\nSTAT cache_hits 7\n\
-                         STAT last_snapshot_ok -\nEND\n";
+    const REPLY: &str = "STAT entries 3\nSTAT cache_hits 7\nSTAT last_snapshot_ok -\nEND\n";
 
     #[test]
     fn parses_a_stats_block_skipping_non_numeric_values() {
@@ -75,12 +85,32 @@ mod tests {
     }
 
     #[test]
-    fn deltas_are_signed_and_total() {
-        let before = parse_stats("STAT a 5\nSTAT b 10\nEND\n").unwrap();
-        let after = parse_stats("STAT a 8\nSTAT b 4\nSTAT c 2\nEND\n").unwrap();
+    fn only_counters_are_differenced() {
+        let before = parse_stats(
+            "STAT entries 4\nSTAT cache_hits 5\nSTAT timeouts 3\n\
+             STAT latency_query_p50_us 900\nEND\n",
+        )
+        .unwrap();
+        let after = parse_stats(
+            "STAT entries 6\nSTAT cache_hits 8\nSTAT timeouts 1\nSTAT verb_query 2\n\
+             STAT latency_query_p50_us 700\nEND\n",
+        )
+        .unwrap();
         let delta = stats_delta(&before, &after);
-        assert_eq!(delta.get("a"), Some(&3));
-        assert_eq!(delta.get("b"), Some(&-6));
-        assert_eq!(delta.get("c"), Some(&2));
+        assert_eq!(
+            delta,
+            BTreeMap::from([
+                ("cache_hits".to_string(), 3),
+                ("timeouts".to_string(), 0),
+                ("verb_query".to_string(), 2),
+            ]),
+            "a shrunk counter (a restart) clamps to 0; gauges and digests are absent"
+        );
+        let gauges = stats_gauges(&after);
+        assert_eq!(
+            gauges,
+            BTreeMap::from([("entries".to_string(), 6), ("latency_query_p50_us".to_string(), 700)]),
+            "gauges report their after-value, a falling percentile included"
+        );
     }
 }

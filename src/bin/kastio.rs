@@ -31,7 +31,7 @@
 //! drives seeded, reproducible request mixes against the daemon (self-spawned unless
 //! `--addr` points at one) and writes per-verb throughput/latency —
 //! client-side and, via `METRICS` scrapes, server-side — plus STATS
-//! deltas to `BENCH_serve.json`; `bench-diff` compares two such
+//! counter deltas and gauge after-values to `BENCH_serve.json`; `bench-diff` compares two such
 //! artifacts and fails beyond a noise band — see `kastio_loadgen`.
 
 use std::io::{BufReader, Write};
@@ -194,8 +194,9 @@ const HELP_TOPICS: &[(&str, &str)] = &[
          duration each (default 2s; accepts `500ms`, `2s` or plain\n\
          seconds), then writes per-verb throughput, p50/p95/p99 latency\n\
          (client-side and, scraped from METRICS fences around each\n\
-         scenario, server-side) and the server-side STATS delta to --out\n\
-         (default BENCH_serve.json). Without --addr a server is spawned in-process\n\
+         scenario, server-side) and the server-side STATS counter deltas\n\
+         and gauge after-values to --out (default BENCH_serve.json).\n\
+         Without --addr a server is spawned in-process\n\
          on an ephemeral port and shut down afterwards; with --addr the\n\
          target daemon is left running.\n\
          The request streams are a pure function of --seed and the client\n\

@@ -323,6 +323,26 @@ fn wal_mode_counters_and_save_reply_match_the_spec_bytes() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The metric table of docs/PROTOCOL.md, as `(STATS key, METRICS family
+/// without labels, kind)` triples in row order. The histogram rows have
+/// no STATS key (`—`).
+fn documented_metric_table() -> Vec<(String, String, String)> {
+    let doc = include_str!("../docs/PROTOCOL.md");
+    let header = "| STATS key | METRICS family | kind | meaning |\n";
+    let start = doc.find(header).expect("PROTOCOL.md has the metric table") + header.len();
+    doc[start..]
+        .lines()
+        .skip(1) // the |---| separator
+        .take_while(|line| line.starts_with('|'))
+        .map(|line| {
+            let cells: Vec<&str> = line.trim_matches('|').split('|').map(str::trim).collect();
+            let family = cells[1].trim_matches('`');
+            let family = family.split('{').next().unwrap();
+            (cells[0].trim_matches('`').to_string(), family.to_string(), cells[2].to_string())
+        })
+        .collect()
+}
+
 #[test]
 fn stats_reports_metrics_counters_in_documented_order() {
     let server = start_server(&[]);
@@ -331,73 +351,48 @@ fn stats_reports_metrics_counters_in_documented_order() {
     conn.roundtrip("INGEST flash h0 write 64;h0 write 64\n");
     conn.roundtrip("FROB\n");
     let stats = conn.roundtrip("STATS\n");
+    let metrics = conn.roundtrip("METRICS\n");
 
+    // STATS renders every counter and gauge row of the documented table,
+    // in row order, then the latency digests. The corpus is one vector,
+    // so no key names a shard.
+    let table = documented_metric_table();
+    let rows: Vec<&str> = table
+        .iter()
+        .filter(|(key, _, kind)| kind != "histogram" && !key.starts_with("latency_"))
+        .map(|(key, _, _)| key.as_str())
+        .collect();
+    assert_eq!(rows.first(), Some(&"entries"), "the table parsed: {table:?}");
     let keys: Vec<&str> = stats
         .lines()
         .filter_map(|l| l.strip_prefix("STAT "))
         .map(|l| l.split_whitespace().next().unwrap())
         .collect();
-    // The index block opens the reply, in the exact order PROTOCOL.md
-    // documents. Its WAL keys are rendered even without --wal (all
-    // zeros), so parsers never branch on the daemon's configuration. The
-    // corpus is one vector, so no key names a shard.
-    let index_keys = [
-        "entries",
-        "generation",
-        "queries",
-        "kernel_evals",
-        "cache_hits",
-        "cached_pairs",
-        "prefilter_pruned",
-        "ingest_evals",
-        "query_self_evals",
-        "snapshots",
-        "snapshot_errors",
-        "last_snapshot_ok",
-        "last_snapshot_generation",
-        "last_snapshot_duration_us",
-        "last_snapshot_bytes",
+    assert_eq!(&keys[..rows.len()], &rows[..], "{stats}");
+    assert!(keys[rows.len()..].iter().all(|key| key.starts_with("latency_")), "{stats}");
+    assert!(!keys.iter().any(|key| key.starts_with("shard")), "{stats}");
+
+    // METRICS declares exactly the documented families, each once, with
+    // the documented kind.
+    let mut documented: Vec<(&str, &str)> =
+        table.iter().map(|(_, family, kind)| (family.as_str(), kind.as_str())).collect();
+    documented.dedup();
+    documented.sort_unstable();
+    let mut declared: Vec<(&str, &str)> = metrics
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE "))
+        .map(|l| l.split_once(' ').unwrap())
+        .collect();
+    declared.sort_unstable();
+    assert_eq!(declared, documented, "{metrics}");
+
+    // The WAL and memory rows render as zeros without --wal and
+    // --max-memory-bytes.
+    for key in [
         "wal_records",
         "wal_bytes",
         "wal_fsyncs",
         "last_replay_records",
-    ];
-    assert_eq!(&keys[..index_keys.len()], &index_keys);
-    assert!(!keys.iter().any(|key| key.starts_with("shard")), "{stats}");
-    for key in ["wal_records", "wal_bytes", "wal_fsyncs", "last_replay_records"] {
-        assert!(stats.contains(&format!("STAT {key} 0\n")), "{key} is zero without --wal: {stats}");
-    }
-
-    // The metrics block follows directly, in the documented order.
-    let metrics_keys = [
-        "uptime_secs",
-        "connections",
-        "requests_total",
-        "request_errors",
-        "verb_hello",
-        "verb_ingest",
-        "verb_batch_ingest",
-        "verb_query",
-        "verb_mquery",
-        "verb_stats",
-        "verb_save",
-        "verb_shutdown",
-        "verb_metrics",
-        "verb_slowlog",
-        // The memory-governance block: rendered (as zeros) even without
-        // --max-memory-bytes, like the WAL block, so parsers never
-        // branch on configuration.
-        "mem_used_bytes",
-        "mem_limit_bytes",
-        "mem_unreclaimable_bytes",
-        "mem_reclaims",
-        "shed_memory",
-        "shed_connections",
-        "timeouts",
-    ];
-    let start = index_keys.len();
-    assert_eq!(&keys[start..start + metrics_keys.len()], &metrics_keys);
-    for key in [
         "mem_used_bytes",
         "mem_limit_bytes",
         "mem_unreclaimable_bytes",
@@ -405,7 +400,7 @@ fn stats_reports_metrics_counters_in_documented_order() {
         "shed_connections",
         "timeouts",
     ] {
-        assert!(stats.contains(&format!("STAT {key} 0\n")), "{key} zero when ungoverned: {stats}");
+        assert!(stats.contains(&format!("STAT {key} 0\n")), "{key} is zero: {stats}");
     }
 
     // And the counters reflect this connection's traffic exactly:
