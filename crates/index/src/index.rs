@@ -244,7 +244,7 @@ pub struct SnapshotStatus {
     /// [`crate::WalManager`]; the metric table ([`crate::metrics`])
     /// overlays it into the copy it reads with
     /// [`crate::WalManager::overlay`]. 0 when the daemon runs without
-    /// `--wal`.
+    /// `--save`.
     pub wal_records: u64,
     /// WAL bytes appended since startup (frames included). Overlaid like
     /// `wal_records`.

@@ -40,15 +40,17 @@
 //! handles under the corpus read lock, then streams the records into a
 //! temp file, fsyncs it, renames it into place and fsyncs the directory
 //! with no corpus lock held; a [`Snapshotter`] thread can save
-//! periodically, and [`signal`] turns `SIGTERM`/`SIGINT` into a final
-//! snapshot plus clean listener shutdown. Corpus directories (plain-text
-//! trace files + `MANIFEST`, the layout `kastio generate` emits) still
-//! load directly, as an import. With `--wal`, [`wal`] closes the window
-//! *between* snapshots too: every acked ingest is appended to one
-//! write-ahead log as its id is allocated, so the log is in id order,
-//! and fsync'd (group commit) before the ack goes out; a `BATCH INGEST`
-//! is one all-or-nothing commit. A save compacts the log only once its
-//! snapshot is durable, recovery replays the log over the last snapshot,
+//! periodically, and [`signal`] turns `SIGTERM`/`SIGINT` into a clean
+//! listener shutdown, after which the daemon's exit path saves. Corpus
+//! directories (plain-text trace files + `MANIFEST`, the layout `kastio
+//! generate` emits) still load directly, as an import. [`wal`] closes
+//! the window *between* snapshots: a durable daemon appends every acked
+//! ingest to one write-ahead log as its id is allocated, so the log is
+//! in id order, and fsyncs it (group commit) before the ack goes out; a
+//! `BATCH INGEST` is one all-or-nothing commit. The log's root
+//! ([`WalManager::dir`]) is where the daemon saves. A save compacts the
+//! log only once its snapshot is durable, recovery replays the log over
+//! the last snapshot,
 //! and [`fault`] provides the crash-point injection the durability suite
 //! (`tests/wal_recovery.rs`) uses to prove no acked `INGEST` is ever
 //! lost — even to `kill -9` mid-write. (The kill suite cannot see a

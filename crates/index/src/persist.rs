@@ -10,7 +10,7 @@
 //! 1. stream the records into   <dir>/snapshot.log.tmp
 //! 2. fsync it, rename it over  <dir>/snapshot.log
 //! 3. fsync <dir>               (the rename is now durable)
-//! 4. compact <dir>/wal/        (with a WAL, and only after step 3)
+//! 4. compact <dir>/wal/        (only after step 3)
 //! ```
 //!
 //! An error in steps 1–3 fails the save and skips step 4. The previous
@@ -23,7 +23,7 @@
 
 use std::fs;
 use std::io::{self, BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
@@ -145,8 +145,7 @@ fn write_snapshot_file(dir: &Path, entries: Vec<Arc<IndexEntry>>) -> io::Result<
 /// to one directory never suppresses a needed save to another), the
 /// corpus generation has not moved since, and `<dir>/snapshot.log` still
 /// exists. Returns `Ok(None)` on a skip. This is the idle-cycle test the
-/// periodic [`Snapshotter`], the signal monitor and the daemon's exit
-/// path use.
+/// periodic [`Snapshotter`] and the daemon's exit path use.
 ///
 /// # Errors
 ///
@@ -231,6 +230,14 @@ pub fn load_index(dir: &Path, opts: IndexOptions) -> Result<PatternIndex, Corpus
     Ok(index)
 }
 
+/// Whether `dir` already holds a durable corpus for [`load_index`]: a
+/// snapshot file, a legacy `snapshot/` directory or a `wal/`. The daemon
+/// loads such a `--save` root before its establishing save, so a restart
+/// resumes the corpus instead of saving an empty one over it.
+pub fn holds_durable_corpus(dir: &Path) -> bool {
+    snapshot_path(dir).exists() || snapshot_dir(dir).is_dir() || wal_dir(dir).is_dir()
+}
+
 /// Ingests one loaded entry, mapping a rejection to
 /// [`CorpusIoError::BadEntry`].
 fn ingest_loaded(
@@ -302,21 +309,21 @@ pub struct Snapshotter {
 }
 
 impl Snapshotter {
-    /// Starts the snapshot thread for `index`, saving to `dir` every
-    /// `interval` when the corpus changed; with a WAL each save also
-    /// compacts the log.
-    pub fn start_with_wal(
+    /// Starts the snapshot thread for `index`, saving to the log's root
+    /// ([`WalManager::dir`]) every `interval` when the corpus changed;
+    /// each save also compacts the log.
+    pub fn start(
         index: Arc<PatternIndex>,
-        dir: PathBuf,
+        wal: Arc<WalManager>,
         interval: Duration,
-        wal: Option<Arc<WalManager>>,
     ) -> Snapshotter {
         let (stop, stopped) = mpsc::channel();
         let handle = std::thread::Builder::new()
             .name("kastio-snapshot".to_string())
             .spawn(move || {
                 while let Err(mpsc::RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
-                    if let Err(e) = save_index_if_changed_wal(&index, &dir, wal.as_deref()) {
+                    let dir = wal.dir();
+                    if let Err(e) = save_index_if_changed_wal(&index, dir, Some(&wal)) {
                         eprintln!("kastio snapshot: save to {} failed: {e}", dir.display());
                     }
                 }
@@ -341,8 +348,9 @@ mod tests {
     use kastio_trace::parse_trace;
     use kastio_trace::wal::{encode_wal_record, wal_log_path, WalRecord};
     use std::collections::BTreeMap;
+    use std::path::PathBuf;
 
-    fn tmpdir(tag: &str) -> std::path::PathBuf {
+    fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("kastio-index-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
@@ -619,12 +627,9 @@ mod tests {
     fn snapshotter_saves_periodically_and_skips_idle_cycles() {
         let dir = tmpdir("daemon");
         let index = Arc::new(sample_index(IndexOptions::default()));
-        let snapshotter = Snapshotter::start_with_wal(
-            Arc::clone(&index),
-            dir.clone(),
-            Duration::from_millis(5),
-            None,
-        );
+        let wal = WalManager::open(&dir, 1, Duration::ZERO).unwrap();
+        let snapshotter =
+            Snapshotter::start(Arc::clone(&index), Arc::clone(&wal), Duration::from_millis(5));
         let deadline = std::time::Instant::now() + Duration::from_secs(30);
         while index.snapshot_status().snapshots == 0 {
             assert!(std::time::Instant::now() < deadline, "first periodic snapshot never ran");
@@ -755,9 +760,9 @@ mod tests {
         crate::wal::EVENTS.take();
         save_index_wal(&index, &dir, Some(&wal)).unwrap();
 
-        // Every save path (SAVE, SHUTDOWN, the Snapshotter, the signal
-        // monitor, the establishing and exit-path saves) runs this
-        // function, so this order holds for all of them.
+        // Every save path (SAVE, SHUTDOWN, the Snapshotter, the
+        // establishing and exit-path saves) runs this function, so this
+        // order holds for all of them.
         let replaced = |path: PathBuf| {
             let tmp = PathBuf::from(format!("{}.tmp", path.display()));
             let dir = path.parent().unwrap().to_path_buf();

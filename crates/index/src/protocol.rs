@@ -26,6 +26,7 @@
 //!                                        OK slowlog reset /
 //!                                        OK slowlog len=<n>
 //! SAVE                                 → OK saved entries=<n> generation=<g>
+//!                                        wal=truncated (one line)
 //! SHUTDOWN                             → OK bye (server stops accepting;
 //!                                        `OK bye saved=<n> generation=<g>`
 //!                                        when a save directory is set)

@@ -43,7 +43,6 @@ use super::ServeState;
 #[derive(Clone)]
 pub(crate) struct RequestContext {
     pub index: std::sync::Arc<PatternIndex>,
-    pub save_dir: Option<std::path::PathBuf>,
     pub wal: Option<std::sync::Arc<WalManager>>,
     pub metrics: std::sync::Arc<ServerMetrics>,
     pub slow_log: std::sync::Arc<kastio_obs::SlowLog>,
@@ -56,7 +55,6 @@ impl RequestContext {
     pub fn of(state: &ServeState) -> RequestContext {
         RequestContext {
             index: std::sync::Arc::clone(&state.index),
-            save_dir: state.save_dir.clone(),
             wal: state.wal.clone(),
             metrics: std::sync::Arc::clone(&state.metrics),
             slow_log: std::sync::Arc::clone(&state.slow_log),
@@ -372,20 +370,14 @@ pub(crate) fn execute_parsed(
             ctx.slow_log.reset();
             render_slowlog_reset()
         }
-        Ok(Request::Save) => match ctx.save_dir.as_deref() {
+        Ok(Request::Save) => match wal {
             None => "ERR no save directory (start the server with --save)\n".to_string(),
-            Some(dir) => match save_index_wal(index, dir, wal) {
-                Ok(info) => {
-                    // Under --wal a snapshot is a compaction point:
-                    // the reply says the log was trimmed too, so a
-                    // client (and the conformance suite) can tell the
-                    // two durability modes apart on the wire.
-                    let wal_note = if wal.is_some() { " wal=truncated" } else { "" };
-                    format!(
-                        "OK saved entries={} generation={}{wal_note}\n",
-                        info.entries, info.generation
-                    )
-                }
+            // A snapshot is a compaction point, and the reply says so.
+            Some(wal) => match save_index_wal(index, wal.dir(), Some(wal)) {
+                Ok(info) => format!(
+                    "OK saved entries={} generation={} wal=truncated\n",
+                    info.entries, info.generation
+                ),
                 Err(e) => format!("ERR save failed: {e}\n"),
             },
         },
@@ -396,9 +388,9 @@ pub(crate) fn execute_parsed(
             // of serve() re-checks the snapshot status and surfaces
             // the failure in its exit code.
             shutting_down = true;
-            match ctx.save_dir.as_deref() {
+            match wal {
                 None => "OK bye\n".to_string(),
-                Some(dir) => match save_index_wal(index, dir, wal) {
+                Some(wal) => match save_index_wal(index, wal.dir(), Some(wal)) {
                     Ok(info) => {
                         format!("OK bye saved={} generation={}\n", info.entries, info.generation)
                     }

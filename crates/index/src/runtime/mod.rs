@@ -24,7 +24,6 @@ mod sys;
 
 use std::io;
 use std::net::TcpListener;
-use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
@@ -43,7 +42,6 @@ pub(crate) struct ServeState {
     pub(crate) listener: TcpListener,
     pub(crate) index: Arc<PatternIndex>,
     pub(crate) stop: Arc<AtomicBool>,
-    pub(crate) save_dir: Option<PathBuf>,
     pub(crate) wal: Option<Arc<WalManager>>,
     pub(crate) metrics: Arc<ServerMetrics>,
     pub(crate) slow_log: Arc<SlowLog>,

@@ -19,7 +19,6 @@
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -206,7 +205,6 @@ pub struct Server {
     listener: TcpListener,
     index: Arc<PatternIndex>,
     stop: Arc<AtomicBool>,
-    save_dir: Option<PathBuf>,
     wal: Option<Arc<WalManager>>,
     metrics: Arc<ServerMetrics>,
     slow_log: Arc<SlowLog>,
@@ -256,7 +254,6 @@ impl Server {
             listener: TcpListener::bind(addr)?,
             index: Arc::new(index),
             stop: Arc::new(AtomicBool::new(false)),
-            save_dir: None,
             wal: None,
             metrics: Arc::new(ServerMetrics::new()),
             slow_log: Arc::new(SlowLog::disabled()),
@@ -321,23 +318,16 @@ impl Server {
         self
     }
 
-    /// Configures the snapshot directory: `SAVE` requests write there,
-    /// and `SHUTDOWN` snapshots there *before* replying, so the
-    /// requesting client sees the save outcome (`OK bye saved=…` or
-    /// `ERR save failed: …`) instead of a silent post-reply failure.
-    #[must_use]
-    pub fn with_save_dir(mut self, dir: Option<PathBuf>) -> Server {
-        self.save_dir = dir;
-        self
-    }
-
-    /// Attaches a write-ahead log: every `INGEST` / `BATCH INGEST` is
-    /// appended and group-commit-fsync'd *before* its `OK` reply is
-    /// written (ack-after-fsync), `SAVE` compacts the log against the
-    /// snapshot generation (and says so: `… wal=truncated`), and the
-    /// `STATS` / `METRICS` wal counters go live. `None` (the default)
-    /// keeps the snapshot-only durability story and every reply byte
-    /// unchanged.
+    /// Makes the daemon durable under the log's root,
+    /// [`WalManager::dir`]: every `INGEST` / `BATCH INGEST` is appended
+    /// and group-commit-fsync'd *before* its `OK` reply is written
+    /// (ack-after-fsync), `SAVE` snapshots to the root and compacts the
+    /// log (`… wal=truncated`), `SHUTDOWN` snapshots there *before*
+    /// replying, so the requesting client sees the save outcome
+    /// (`OK bye saved=…` or `ERR save failed: …`), and the `STATS` /
+    /// `METRICS` wal counters go live. `None` (the default) is the
+    /// in-memory daemon: `SAVE` answers `ERR no save directory` and
+    /// `SHUTDOWN` answers `OK bye`.
     #[must_use]
     pub fn with_wal(mut self, wal: Option<Arc<WalManager>>) -> Server {
         self.wal = wal;
@@ -345,8 +335,8 @@ impl Server {
     }
 
     /// The served index, shared. Lets a periodic
-    /// [`crate::persist::Snapshotter`] or a signal monitor observe and
-    /// snapshot the corpus while [`Server::serve`] blocks.
+    /// [`crate::persist::Snapshotter`] observe and snapshot the corpus
+    /// while [`Server::serve`] blocks.
     pub fn index(&self) -> Arc<PatternIndex> {
         Arc::clone(&self.index)
     }
@@ -393,7 +383,6 @@ impl Server {
             listener: self.listener,
             index: self.index,
             stop: self.stop,
-            save_dir: self.save_dir,
             wal: self.wal,
             metrics: self.metrics,
             slow_log: self.slow_log,
@@ -764,20 +753,25 @@ mod tests {
         handle.join().unwrap();
     }
 
+    /// A server made durable under a fresh temp root `kastio-server-<tag>`.
+    fn start_durable(
+        tag: &str,
+    ) -> (std::path::PathBuf, SocketAddr, std::thread::JoinHandle<Arc<PatternIndex>>) {
+        let dir = std::env::temp_dir().join(format!("kastio-server-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let wal = WalManager::open(&dir, 1, Duration::ZERO).unwrap();
+        let (addr, handle) = start_configured(|server| server.with_wal(Some(wal)));
+        (dir, addr, handle)
+    }
+
     #[test]
     fn save_verb_snapshots_and_shutdown_reports_the_save() {
-        let dir = std::env::temp_dir().join(format!("kastio-server-save-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let server = Server::bind("127.0.0.1:0", PatternIndex::new(IndexOptions::default()))
-            .unwrap()
-            .with_save_dir(Some(dir.clone()));
-        let addr = server.local_addr().unwrap();
-        let handle = std::thread::spawn(move || server.serve().expect("server runs"));
+        let (dir, addr, handle) = start_durable("save");
         let mut stream = TcpStream::connect(addr).unwrap();
 
         roundtrip(&mut stream, "INGEST w h0 write 64;h0 write 64\n");
         let reply = roundtrip(&mut stream, "SAVE\n");
-        assert_eq!(reply, "OK saved entries=1 generation=1\n");
+        assert_eq!(reply, "OK saved entries=1 generation=1 wal=truncated\n");
         assert!(kastio_trace::wal::snapshot_path(&dir).exists());
 
         let stats = roundtrip(&mut stream, "STATS\n");
@@ -800,13 +794,10 @@ mod tests {
 
     #[test]
     fn failed_shutdown_save_is_reported_to_the_requesting_client() {
-        // /dev/null is a file, so creating a snapshot directory under it
-        // fails with a real IO error even when running as root.
-        let server = Server::bind("127.0.0.1:0", PatternIndex::new(IndexOptions::default()))
-            .unwrap()
-            .with_save_dir(Some(std::path::PathBuf::from("/dev/null/corpus")));
-        let addr = server.local_addr().unwrap();
-        let handle = std::thread::spawn(move || server.serve().expect("server runs"));
+        // A directory squatting on the snapshot's temp file makes every
+        // save fail with a real IO error (EISDIR), even as root.
+        let (dir, addr, handle) = start_durable("failed-save");
+        std::fs::create_dir(dir.join("snapshot.log.tmp")).unwrap();
         let mut stream = TcpStream::connect(addr).unwrap();
         roundtrip(&mut stream, "INGEST w h0 write 64\n");
         let reply = roundtrip(&mut stream, "SAVE\n");
@@ -819,6 +810,7 @@ mod tests {
         assert_eq!(status.errors, 2);
         assert_eq!(status.last_ok, Some(false));
         assert_eq!(index.len(), 1, "the corpus itself is intact in memory");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

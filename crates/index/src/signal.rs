@@ -7,15 +7,15 @@
 //! trick**: the signal handler's only action is an async-signal-safe
 //! `write(2)` of the signal number into a pipe, and an ordinary thread
 //! blocks on the read end, turning the asynchronous signal into a plain
-//! synchronous event the daemon can act on (snapshot, then stop the
-//! listener).
+//! synchronous event the daemon can act on (stop the listener; its exit
+//! path then saves).
 //!
 //! Design constraints honoured here:
 //!
 //! * **Handler minimalism.** The handler performs one `write` and
 //!   re-arms `SIG_DFL` — both async-signal-safe — so a second `SIGTERM`/
 //!   `SIGINT` (an impatient operator) kills the process immediately
-//!   instead of queueing behind a slow snapshot.
+//!   instead of queueing behind a slow exit-path save.
 //! * **`signal(2)` over `sigaction(2)`.** Calling glibc/musl `sigaction`
 //!   from Rust without the `libc` crate means hand-declaring a
 //!   platform-specific struct layout; `signal` has the BSD semantics we
@@ -26,7 +26,7 @@
 //!
 //! On non-unix targets [`watch_termination`] reports
 //! [`std::io::ErrorKind::Unsupported`] and the daemon simply runs without
-//! signal-triggered snapshots.
+//! signal-triggered shutdown.
 
 use std::fmt;
 use std::io;

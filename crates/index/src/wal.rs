@@ -85,6 +85,8 @@ pub struct WalManager {
     /// The append handle of `path`. Appends, compaction and truncation
     /// hold the lock; a commit leader only clones the handle under it.
     log: Mutex<File>,
+    /// The durable root: the snapshot and `wal/` live under it.
+    dir: PathBuf,
     path: PathBuf,
     commit: Mutex<CommitState>,
     committed: Condvar,
@@ -215,6 +217,7 @@ impl WalManager {
         })?;
         Ok(Arc::new(WalManager {
             log: Mutex::new(file),
+            dir: dir.to_path_buf(),
             path,
             commit: Mutex::new(CommitState::default()),
             committed: Condvar::new(),
@@ -222,6 +225,12 @@ impl WalManager {
             bytes: AtomicU64::new(0),
             fsyncs: AtomicU64::new(0),
         }))
+    }
+
+    /// The durable root this log belongs to: the `<dir>` of
+    /// `<dir>/wal/shard0.log`, where saves write the snapshot.
+    pub fn dir(&self) -> &Path {
+        &self.dir
     }
 
     /// Appends one record to the log and returns the commit sequence

@@ -173,9 +173,9 @@ pub fn run(config: &LoadConfig) -> Result<Report, String> {
         None => {
             let index = PatternIndex::new(IndexOptions::default());
             // A durable scratch root: SAVE is a first-class verb in the
-            // op mixes (save-storm), so the self-spawned server needs a
-            // snapshot target — and a WAL, so ingests pay the real
-            // ack-after-fsync price the daemon pays under `--wal`.
+            // op mixes (save-storm), so the self-spawned server is durable
+            // like a `--save` daemon, and its ingests pay the same
+            // ack-after-fsync price.
             static SCRATCH_ID: AtomicU64 = AtomicU64::new(0);
             let scratch = std::env::temp_dir().join(format!(
                 "kastio-loadgen-{}-{}",
@@ -186,7 +186,6 @@ pub fn run(config: &LoadConfig) -> Result<Report, String> {
                 .map_err(|e| format!("cannot open the load server's WAL: {e}"))?;
             let server = Server::bind("127.0.0.1:0", index)
                 .map_err(|e| format!("cannot bind load server: {e}"))?
-                .with_save_dir(Some(scratch.clone()))
                 .with_wal(Some(wal))
                 .with_memory_limit(config.max_memory_bytes);
             let addr = server.local_addr().map_err(|e| format!("no local addr: {e}"))?.to_string();

@@ -29,8 +29,8 @@ pub enum ScenarioKind {
     /// self-kernels should climb — visible in the STATS delta.
     HotKey,
     /// ~88% `QUERY`, ~10% `INGEST`, ~2% `SAVE`: hot read traffic with
-    /// snapshots (and, under `--wal`, log compactions) landing in the
-    /// middle of it. The per-verb SAVE histogram shows what a snapshot
+    /// snapshots (and their log compactions) landing in the middle of
+    /// it. The per-verb SAVE histogram shows what a snapshot
     /// costs; the QUERY histogram shows whether it stalls readers.
     SaveStorm,
     /// ~45% fat `BATCH INGEST` (big items), ~25% `MQUERY`, ~20% `QUERY`,

@@ -7,7 +7,7 @@
 //! kastio generate <dir> [--seed N]
 //! kastio cluster  <dir> [--cut N] [--ignore-bytes] [--groups K]
 //! kastio serve    [--port N] [--corpus <dir>] [--save <dir>]
-//!                 [--wal] [--snapshot-every <secs>]
+//!                 [--snapshot-every <secs>]
 //!                 [--cut N] [--ignore-bytes] [--candidates N]
 //!                 [--slow-query-micros N] [--max-memory-bytes N]
 //!                 [--max-connections N] [--idle-timeout-secs N]
@@ -36,7 +36,7 @@
 
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -58,7 +58,7 @@ usage:
   kastio generate <dir> [--seed N]
   kastio cluster  <dir> [--cut N] [--ignore-bytes] [--groups K]
   kastio serve    [--port N] [--corpus <dir>] [--save <dir>]
-                  [--wal] [--snapshot-every <secs>]
+                  [--snapshot-every <secs>]
                   [--cut N] [--ignore-bytes] [--candidates N]
                   [--slow-query-micros N] [--max-memory-bytes N]
                   [--max-connections N] [--idle-timeout-secs N]
@@ -106,7 +106,7 @@ const HELP_TOPICS: &[(&str, &str)] = &[
     (
         "serve",
         "kastio serve [--port N] [--corpus <dir>] [--save <dir>]\n\
-         \u{20}            [--wal] [--snapshot-every <secs>]\n\
+         \u{20}            [--snapshot-every <secs>]\n\
          \u{20}            [--cut N] [--ignore-bytes] [--candidates N]\n\
          \u{20}            [--slow-query-micros N] [--max-memory-bytes N]\n\
          \u{20}            [--max-connections N] [--idle-timeout-secs N]\n\n\
@@ -118,22 +118,24 @@ const HELP_TOPICS: &[(&str, &str)] = &[
          daemon's only parallelism. The corpus is one vector under one\n\
          lock: a query holds it only for its signature scan, so queries\n\
          run in parallel, and an ingest holds it only to append, so it\n\
-         never waits for a query's scoring. --corpus preloads a save\n\
-         directory or a dataset directory (the `generate` layout).\n\
-         --save makes the daemon durable: the corpus is snapshotted to\n\
+         never waits for a query's scoring.\n\
+         --save makes the daemon durable under <save-dir>: every\n\
+         INGEST/BATCH INGEST is logged to <save-dir>/wal/shard0.log as\n\
+         its ids are allocated, so the log is in id order, and fsync'd\n\
+         (concurrent acks share one) before its OK reply, so an acked\n\
+         ingest survives kill -9 and power loss; a BATCH INGEST is\n\
+         all-or-nothing. The corpus is snapshotted to\n\
          <save-dir>/snapshot.log (one file, fsync'd, then renamed into\n\
-         place) on SHUTDOWN, on SAVE requests, on SIGTERM/SIGINT, and\n\
-         (with --snapshot-every N) every N seconds in the background\n\
-         while queries keep flowing (idle cycles are skipped). A failed\n\
-         final save exits non-zero.\n\
-         --wal (requires --save) adds a write-ahead log,\n\
-         <save-dir>/wal/shard0.log: every INGEST/BATCH INGEST is logged\n\
-         as its ids are allocated, so the log is in id order, and\n\
-         fsync'd (concurrent acks share one) before its OK reply, so an\n\
-         acked ingest survives kill -9 and power loss; a BATCH INGEST\n\
-         is all-or-nothing. A snapshot compacts the log only once it is\n\
-         durable, and restarts recover as last snapshot + WAL replay\n\
-         (point --corpus at the save dir). --candidates floors the\n\
+         place) at start-up, on SAVE and SHUTDOWN, at exit (also after\n\
+         SIGTERM/SIGINT), and (with --snapshot-every N) every N seconds\n\
+         in the background while queries keep flowing (idle cycles are\n\
+         skipped). A snapshot compacts the log only once it is durable.\n\
+         A failed final save exits non-zero. A restart over the same\n\
+         <save-dir> resumes it: last snapshot + log replay. --corpus\n\
+         preloads a save directory or a dataset directory (the\n\
+         `generate` layout); it is needed only to import from a\n\
+         directory other than <save-dir>. --wal is accepted and changes\n\
+         nothing. --candidates floors the\n\
          signature-prefilter budget. --slow-query-micros enables the\n\
          slow-query log: requests slower than N microseconds end-to-end\n\
          are kept in a bounded in-memory ring (newest 128) readable over\n\
@@ -487,25 +489,28 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         },
         ..IndexOptions::default()
     };
-    let index = match &flags.corpus {
+    // The corpus to serve: --corpus if given, else the --save root when
+    // it already holds a durable corpus (so a restart resumes it rather
+    // than saving an empty corpus over it), else an empty index.
+    let save = flags.save.as_deref().map(Path::new);
+    let resume = save.filter(|dir| kastio::index::persist::holds_durable_corpus(dir));
+    let index = match flags.corpus.as_deref().map(Path::new).or(resume) {
         Some(dir) => {
-            let index = load_index(Path::new(dir), opts).map_err(|e| e.to_string())?;
-            eprintln!("loaded {} entries from {dir}", index.len());
+            let index = load_index(dir, opts).map_err(|e| e.to_string())?;
+            eprintln!("loaded {} entries from {}", index.len(), dir.display());
             index
         }
         None => PatternIndex::new(opts),
     };
-    let save_dir = flags.save.as_ref().map(PathBuf::from);
 
-    // The establish sequence for --wal: open the logs, fold whatever is
-    // already in memory (a --corpus preload — possibly itself recovered
-    // via WAL replay — or nothing) into a fresh establishing snapshot,
-    // then empty the logs. Blunt truncation is safe here and only here:
-    // the listener is not up yet, so no ingest can be in flight — and it
-    // neutralises stale or foreign records that would otherwise alias
-    // the ids this run is about to assign.
-    let wal = match (&save_dir, flags.wal) {
-        (Some(dir), true) => {
+    // The establish sequence: open the log, fold whatever is in memory
+    // (the loaded corpus, or nothing) into a fresh establishing
+    // snapshot, then empty the log. Blunt truncation is safe here and
+    // only here: the listener is not up yet, so no ingest can be in
+    // flight — and it neutralises stale or foreign records that would
+    // otherwise alias the ids this run is about to assign.
+    let wal = match save {
+        Some(dir) => {
             let wal = kastio::WalManager::open(dir, 1, Duration::ZERO)
                 .map_err(|e| format!("cannot open the WAL under {}: {e}", dir.display()))?;
             kastio::save_index_wal(&index, dir, Some(&wal))
@@ -514,12 +519,11 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
                 .map_err(|e| format!("cannot reset the WAL under {}: {e}", dir.display()))?;
             Some(wal)
         }
-        _ => None,
+        None => None,
     };
 
     let mut server = Server::bind(&format!("127.0.0.1:{}", flags.port), index)
         .map_err(|e| format!("cannot bind 127.0.0.1:{}: {e}", flags.port))?
-        .with_save_dir(save_dir.clone())
         .with_wal(wal.clone())
         .with_slow_log(flags.slow_query_micros)
         .with_memory_limit(flags.max_memory_bytes)
@@ -529,30 +533,17 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     }
     let addr = server.local_addr().map_err(|e| e.to_string())?;
 
-    // Signal-triggered shutdown: SIGTERM/SIGINT snapshot the corpus (when
-    // --save is set) and then stop the listener exactly like a SHUTDOWN
-    // request would — the daemon is crash-tolerant under orchestrators
-    // that only ever send signals.
+    // SIGTERM/SIGINT stop the listener exactly like a SHUTDOWN request
+    // would, and the exit path below saves — the daemon is
+    // crash-tolerant under orchestrators that only ever send signals.
     let shutdown = server.shutdown_handle().map_err(|e| e.to_string())?;
-    let signal_index = server.index();
-    let signal_save = save_dir.clone();
-    let signal_wal = wal.clone();
     match watch_termination() {
         Ok(watcher) => {
             std::thread::Builder::new()
                 .name("kastio-signal".to_string())
                 .spawn(move || {
                     let Ok(signal) = watcher.wait() else { return };
-                    eprintln!("received {signal}, snapshotting and shutting down");
-                    if let Some(dir) = &signal_save {
-                        if let Err(e) = kastio::save_index_if_changed_wal(
-                            &signal_index,
-                            dir,
-                            signal_wal.as_deref(),
-                        ) {
-                            eprintln!("snapshot on {signal} failed: {e}");
-                        }
-                    }
+                    eprintln!("received {signal}, shutting down");
                     shutdown.shutdown();
                 })
                 .map_err(|e| format!("cannot spawn the signal monitor: {e}"))?;
@@ -560,29 +551,24 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         Err(e) => eprintln!("warning: signal handling unavailable ({e}); use SHUTDOWN"),
     }
 
-    // Periodic background snapshots, skipped while the generation counter
-    // is unchanged. Dropped (stopped and joined) before the final save.
-    let snapshotter = match (&save_dir, flags.snapshot_every) {
-        (Some(dir), secs) if secs > 0 => Some(Snapshotter::start_with_wal(
-            server.index(),
-            dir.clone(),
-            std::time::Duration::from_secs(secs),
-            wal.clone(),
-        )),
-        _ => None,
-    };
+    // Periodic background snapshots, skipped while the corpus is
+    // unchanged. Dropped (stopped and joined) before the final save.
+    let snapshotter = wal.clone().filter(|_| flags.snapshot_every > 0).map(|wal| {
+        Snapshotter::start(server.index(), wal, Duration::from_secs(flags.snapshot_every))
+    });
 
     println!("listening on {addr}");
     std::io::stdout().flush().map_err(|e| e.to_string())?;
     let index = server.serve().map_err(|e| format!("serve failed: {e}"))?;
     drop(snapshotter);
 
-    // Final save. Usually a no-op: SHUTDOWN and the signal path have
-    // already snapshotted, so this only runs when the corpus changed
-    // after that snapshot (or when every earlier save failed) — and a
-    // failure here must be loud: stderr + non-zero exit.
-    if let Some(dir) = &save_dir {
-        match kastio::save_index_if_changed_wal(&index, dir, wal.as_deref()) {
+    // Final save. A no-op after a successful SHUTDOWN save, so it runs
+    // when a signal stopped the daemon, when the corpus changed after
+    // the last save, or when every earlier save failed — and a failure
+    // here must be loud: stderr + non-zero exit.
+    if let Some(wal) = &wal {
+        let dir = wal.dir();
+        match kastio::save_index_if_changed_wal(&index, dir, Some(wal)) {
             Ok(Some(info)) => println!(
                 "saved {} entries to {} (generation {})",
                 info.entries,

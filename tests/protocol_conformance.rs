@@ -251,39 +251,21 @@ fn blank_lines_are_skipped_not_answered() {
     assert_eq!(conn.roundtrip("SHUTDOWN\n"), "OK bye\n");
 }
 
+/// A `--save` daemon answers HELLO, INGEST and SHUTDOWN with the
+/// in-memory daemon's bytes; its SAVE reply ends in ` wal=truncated` (a
+/// snapshot compacts the log), and the STATS / METRICS WAL counters go
+/// live.
 #[test]
-fn hello_then_work_then_shutdown_with_save_dir() {
-    let dir = std::env::temp_dir().join(format!("kastio-conformance-{}", std::process::id()));
+fn wal_mode_counters_and_save_reply_match_the_spec_bytes() {
+    let dir = std::env::temp_dir().join(format!("kastio-conformance-wal-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let save_dir = dir.join("corpus");
     let mut server = start_server(&["--save", save_dir.to_str().unwrap()]);
     let mut conn = Connection::open(&server.addr);
 
     assert!(conn.roundtrip("HELLO 1 conformance\n").starts_with("OK kastio proto=1 "));
-    assert_eq!(
-        conn.roundtrip("INGEST flash h0 write 64;h0 write 64\n"),
-        "OK id=0 name=e0 entries=1\n"
-    );
-    assert_eq!(conn.roundtrip("SAVE\n"), "OK saved entries=1 generation=1\n");
-    assert_eq!(conn.roundtrip("SHUTDOWN\n"), "OK bye saved=1 generation=1\n");
-    assert!(server.child.wait().expect("server exits").success());
-    assert!(save_dir.join("snapshot.log").exists());
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-/// Under `--wal` the wire changes in exactly two observable ways: the
-/// SAVE reply gains a ` wal=truncated` note and the STATS / METRICS WAL
-/// counters go live. Everything else stays byte-identical.
-#[test]
-fn wal_mode_counters_and_save_reply_match_the_spec_bytes() {
-    let dir = std::env::temp_dir().join(format!("kastio-conformance-wal-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let save_dir = dir.join("corpus");
-    let mut server = start_server(&["--save", save_dir.to_str().unwrap(), "--wal"]);
-    let mut conn = Connection::open(&server.addr);
-
-    // Ingest replies are unchanged by --wal (only their timing moves:
-    // the OK is written after the covering fsync).
+    // Only the ingest reply's timing moves: the OK is written after the
+    // covering fsync.
     assert_eq!(
         conn.roundtrip("INGEST flash h0 write 64;h0 write 64\n"),
         "OK id=0 name=e0 entries=1\n"
@@ -316,10 +298,10 @@ fn wal_mode_counters_and_save_reply_match_the_spec_bytes() {
     assert!(metrics.contains("kastio_wal_records_total 1\n"), "{metrics}");
     assert!(metrics.contains("kastio_wal_replay_records 0\n"), "{metrics}");
 
-    // SHUTDOWN's own save re-covers the same corpus — its reply shape
-    // is unchanged by --wal.
+    // SHUTDOWN's own save re-covers the same corpus.
     assert_eq!(conn.roundtrip("SHUTDOWN\n"), "OK bye saved=1 generation=1\n");
     assert!(server.child.wait().expect("server exits").success());
+    assert!(save_dir.join("snapshot.log").exists());
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -386,7 +368,7 @@ fn stats_reports_metrics_counters_in_documented_order() {
     declared.sort_unstable();
     assert_eq!(declared, documented, "{metrics}");
 
-    // The WAL and memory rows render as zeros without --wal and
+    // The WAL and memory rows render as zeros without --save and
     // --max-memory-bytes.
     for key in [
         "wal_records",
@@ -459,7 +441,7 @@ fn metrics_exposition_is_framed_and_internally_consistent() {
     assert!(reply.contains("kastio_shed_total{reason=\"connections\"} 0\n"), "{reply}");
     assert!(reply.contains("kastio_timeouts_total 0\n"), "{reply}");
 
-    // The WAL families are exposed (as zeros) even without --wal.
+    // The WAL families are exposed (as zeros) even without --save.
     assert!(reply.contains("# TYPE kastio_wal_records_total counter\n"), "{reply}");
     assert!(reply.contains("kastio_wal_records_total 0\n"), "{reply}");
     assert!(reply.contains("kastio_wal_bytes_total 0\n"), "{reply}");

@@ -1,9 +1,9 @@
 //! Crash-tolerant persistence, end to end against the real `kastio serve`
-//! binary: signal-triggered snapshots (`SIGTERM`/`SIGINT`), the `SAVE`
-//! verb (including via `kastio query --snapshot`), periodic
+//! binary: the exit-path save after `SIGTERM`/`SIGINT`, the `SAVE` verb
+//! (including via `kastio query --snapshot`), periodic
 //! `--snapshot-every` snapshots surviving a `SIGKILL`, save-failure
-//! surfacing (wire `ERR`, STATS counters, non-zero exit), and reloads
-//! answering queries identically.
+//! surfacing (wire `ERR`, STATS counters, non-zero exit, a save root
+//! that cannot hold a log), and reloads answering queries identically.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -153,8 +153,8 @@ fn sigterm_mid_traffic_snapshots_every_acknowledged_ingest() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// `SIGKILL` in the middle of a `BATCH INGEST` burst under `--wal`,
-/// with exact acked-vs-lost accounting: the client records which batch
+/// `SIGKILL` in the middle of a `BATCH INGEST` burst, with exact
+/// acked-vs-lost accounting: the client records which batch
 /// replies it actually read, and after reload every entry of every
 /// *acked* batch must be present while nothing asserts about the batch
 /// in flight (it may have partially committed — it was never acked).
@@ -163,7 +163,7 @@ fn sigterm_mid_traffic_snapshots_every_acknowledged_ingest() {
 fn sigkill_mid_batch_ingest_burst_keeps_every_acked_batch() {
     let dir = tmpdir("wal-batch-kill");
     let save = dir.join("corpus");
-    let mut server = start_server(&["--save", save.to_str().unwrap(), "--wal"], false);
+    let mut server = start_server(&["--save", save.to_str().unwrap()], false);
 
     const BATCH: usize = 4;
     let addr = server.addr.clone();
@@ -242,22 +242,22 @@ fn periodic_snapshots_survive_sigkill() {
         conn.roundtrip(&format!("INGEST flash {}\n", wire_trace(i)));
     }
     // Wait until a background snapshot has captured all four entries.
+    // The log alone would reload them too, so wait on the snapshot.
     let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
-        if let Ok(index) = load_index(&save, IndexOptions::default()) {
-            if index.len() == 4 {
-                break;
-            }
-        }
+    while stat_value(&conn.roundtrip("STATS\n"), "last_snapshot_generation") < 4 {
         assert!(Instant::now() < deadline, "periodic snapshot never captured the corpus");
         std::thread::sleep(Duration::from_millis(100));
     }
-    // SIGKILL: no handler runs, no final save — only the periodic
-    // snapshot stands between the daemon and data loss.
+    // SIGKILL: no handler runs, no final save.
     send_signal(&server.child, "-KILL");
     let _ = server.child.wait();
     let restored = load_index(&save, IndexOptions::default()).expect("snapshot loads");
     assert_eq!(restored.len(), 4);
+    assert_eq!(
+        restored.snapshot_status().last_replay_records,
+        0,
+        "the periodic snapshot held every entry, not the log"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -279,11 +279,11 @@ fn save_verb_and_snapshot_client_reload_reproduces_stats() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     assert_eq!(
         String::from_utf8_lossy(&out.stdout),
-        "OK saved entries=5 generation=5\n",
+        "OK saved entries=5 generation=5 wal=truncated\n",
         "SAVE reports what it wrote"
     );
     let stats = conn.roundtrip("STATS\n");
-    assert_eq!(stat_value(&stats, "snapshots"), 1);
+    assert_eq!(stat_value(&stats, "snapshots"), 2, "the establishing save, then SAVE");
     assert_eq!(stat_value(&stats, "last_snapshot_ok"), 1);
     assert_eq!(stat_value(&stats, "last_snapshot_generation"), 5);
 
@@ -311,9 +311,13 @@ fn save_verb_and_snapshot_client_reload_reproduces_stats() {
 
 #[test]
 fn failed_saves_are_loud_wire_err_stats_counters_nonzero_exit() {
-    // /dev/null is a file, so creating the snapshot directory under it
-    // fails with a real IO error even when the tests run as root.
-    let mut server = start_server(&["--save", "/dev/null/corpus"], true);
+    // A directory squatting on the snapshot's temp file makes every save
+    // after the establishing one fail with a real IO error (EISDIR), even
+    // when the tests run as root.
+    let dir = tmpdir("failed-save");
+    let save = dir.join("corpus");
+    let mut server = start_server(&["--save", save.to_str().unwrap()], true);
+    std::fs::create_dir(save.join("snapshot.log.tmp")).expect("squat on the temp file");
     let mut conn = Connection::open(&server.addr);
     conn.roundtrip(&format!("INGEST flash {}\n", wire_trace(0)));
 
@@ -323,7 +327,7 @@ fn failed_saves_are_loud_wire_err_stats_counters_nonzero_exit() {
     let stats = conn.roundtrip("STATS\n");
     assert_eq!(stat_value(&stats, "snapshot_errors"), 1);
     assert_eq!(stat_value(&stats, "last_snapshot_ok"), 0);
-    assert_eq!(stat_value(&stats, "snapshots"), 0);
+    assert_eq!(stat_value(&stats, "snapshots"), 1, "only the establishing save succeeded");
 
     // The client that requests the shutdown sees the failure too…
     let bye = conn.roundtrip("SHUTDOWN\n");
@@ -344,6 +348,23 @@ fn failed_saves_are_loud_wire_err_stats_counters_nonzero_exit() {
         .read_to_string(&mut stderr)
         .expect("stderr reads");
     assert!(stderr.contains("failed to save"), "stderr names the save failure:\n{stderr}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A `--save` root that cannot hold a log fails the start, before the
+/// daemon listens, rather than at its first save.
+#[test]
+fn an_unusable_save_root_fails_at_start_up() {
+    // /dev/null is a file, so no directory can be created under it, even
+    // when the tests run as root.
+    let out = Command::new(env!("CARGO_BIN_EXE_kastio"))
+        .args(["serve", "--port", "0", "--save", "/dev/null/corpus"])
+        .output()
+        .expect("binary runs");
+    assert!(!out.status.success(), "an unusable save root is fatal");
+    assert!(!String::from_utf8_lossy(&out.stdout).contains("listening on"), "it never listened");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("cannot open the WAL under /dev/null/corpus"), "{stderr}");
 }
 
 #[test]

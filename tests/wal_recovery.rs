@@ -1,6 +1,6 @@
 //! The durability contract, proven against the real `kastio serve`
-//! binary: **no acked `INGEST` is ever lost**. With `--wal` every
-//! acknowledged ingest is fsync'd before its `OK` reply, so these tests
+//! binary: **no acked `INGEST` is ever lost**. A `--save` daemon fsyncs
+//! every acknowledged ingest to its log before the `OK` reply, so these tests
 //! kill the daemon — `kill -9` mid-stream, right after a small ingest is
 //! acked while a large one is still being prepared, or `abort()` at
 //! injected crash points (`KASTIO_CRASH_POINT`, see `kastio_index::fault`)
@@ -134,7 +134,7 @@ fn send_signal(child: &Child, signal: &str) {
 fn sigkill_mid_ingest_stream_loses_no_acked_entry() {
     let dir = tmpdir("sigkill");
     let save = dir.join("corpus");
-    let mut server = start_server(&["--save", save.to_str().unwrap(), "--wal"], &[]);
+    let mut server = start_server(&["--save", save.to_str().unwrap()], &[]);
 
     let addr = server.addr.clone();
     let (min_acked_tx, min_acked_rx) = std::sync::mpsc::channel::<()>();
@@ -186,16 +186,47 @@ fn sigkill_mid_ingest_stream_loses_no_acked_entry() {
     assert_eq!(again.len(), restored.len());
 
     // And a restarted daemon picks the corpus up and keeps serving.
-    let mut reborn = start_server(
-        &["--corpus", save.to_str().unwrap(), "--save", save.to_str().unwrap(), "--wal"],
-        &[],
-    );
+    let mut reborn =
+        start_server(&["--corpus", save.to_str().unwrap(), "--save", save.to_str().unwrap()], &[]);
     let mut conn = Connection::open(&reborn.addr);
     let next = restored.len();
     let reply = conn.roundtrip(&format!("INGEST flash {}\n", wire_trace(next)));
     assert_eq!(reply[0], format!("OK id={next} name=e{next} entries={}", next + 1));
     conn.roundtrip("SHUTDOWN\n");
     reborn.child.wait().expect("restarted daemon exits");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A restart with `--save R` alone resumes R: the daemon loads the
+/// durable root before its establishing snapshot, rather than saving an
+/// empty corpus over it and emptying the log. `--corpus` is only needed
+/// to import from another directory.
+#[cfg(unix)]
+#[test]
+fn restart_with_save_alone_resumes_the_durable_root() {
+    let dir = tmpdir("resume");
+    let save = dir.join("corpus");
+    let mut server = start_server(&["--save", save.to_str().unwrap()], &[]);
+    let mut conn = Connection::open(&server.addr);
+    for i in 0..3 {
+        let reply = conn.roundtrip(&format!("INGEST flash {}\n", wire_trace(i)));
+        assert_eq!(reply[0], format!("OK id={i} name=e{i} entries={}", i + 1));
+    }
+    send_signal(&server.child, "-KILL");
+    let _ = server.child.wait();
+
+    let mut reborn = start_server(&["--save", save.to_str().unwrap()], &[]);
+    let mut conn = Connection::open(&reborn.addr);
+    let reply = conn.roundtrip(&format!("INGEST flash {}\n", wire_trace(3)));
+    assert_eq!(reply[0], "OK id=3 name=e3 entries=4", "the restart resumed e0..e2");
+    conn.roundtrip("SHUTDOWN\n");
+    assert!(reborn.child.wait().expect("restarted daemon exits").success());
+
+    let restored = load_index(&save, IndexOptions::default()).expect("durable root loads");
+    assert_eq!(restored.len(), 4);
+    for i in 0..4 {
+        assert_recovered(&restored, i, "flash");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -245,7 +276,7 @@ fn small_ack_during_a_slow_ingest_survives_sigkill(
 ) {
     let dir = tmpdir(tag);
     let save = dir.join("corpus");
-    let mut server = start_server(&["--save", save.to_str().unwrap(), "--wal"], &[]);
+    let mut server = start_server(&["--save", save.to_str().unwrap()], &[]);
     let mut slow = Connection::open(&server.addr);
     slow.writer.write_all(slow_ingest_line(8_000).as_bytes()).expect("slow INGEST sent");
     slow.writer.flush().expect("slow INGEST flushed");
@@ -300,15 +331,15 @@ fn small_batch_acked_during_a_slow_ingest_survives_sigkill() {
 }
 
 /// Crash point `after-ack-before-fsync`: the server aborts the instant
-/// an ingest `OK` has left the socket. Under `--wal` the name is a
-/// misnomer the test exists to prove: the fsync happened *before* the
+/// an ingest `OK` has left the socket. The name is a misnomer the test
+/// exists to prove: the fsync happened *before* the
 /// ack, so the acked entry must already be durable.
 #[test]
 fn abort_right_after_the_ack_finds_the_record_already_durable() {
     let dir = tmpdir("after-ack");
     let save = dir.join("corpus");
     let mut server = start_server(
-        &["--save", save.to_str().unwrap(), "--wal"],
+        &["--save", save.to_str().unwrap()],
         &[("KASTIO_CRASH_POINT", "after-ack-before-fsync")],
     );
     let mut conn = Connection::open(&server.addr);
@@ -334,7 +365,7 @@ fn abort_mid_record_leaves_a_torn_tail_that_recovery_truncates() {
     // Skip the first 3 hits: ingests 1-3 complete (and are acked), the
     // 4th append aborts halfway through its own record.
     let mut server = start_server(
-        &["--save", save.to_str().unwrap(), "--wal"],
+        &["--save", save.to_str().unwrap()],
         &[("KASTIO_CRASH_POINT", "mid-record"), ("KASTIO_CRASH_SKIP", "3")],
     );
     let mut conn = Connection::open(&server.addr);
@@ -379,7 +410,7 @@ fn abort_between_snapshot_rename_and_wal_truncate_replays_idempotently() {
     // Skip hit 0: the establishing snapshot at startup crosses the same
     // crash point. Hit 1 is the SAVE this test provokes.
     let mut server = start_server(
-        &["--save", save.to_str().unwrap(), "--wal"],
+        &["--save", save.to_str().unwrap()],
         &[
             ("KASTIO_CRASH_POINT", "after-snapshot-rename-before-truncate"),
             ("KASTIO_CRASH_SKIP", "1"),
@@ -411,7 +442,7 @@ fn abort_between_snapshot_rename_and_wal_truncate_replays_idempotently() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The establish sequence: starting a `--wal` daemon folds a `--corpus`
+/// The establish sequence: starting a `--save` daemon folds a `--corpus`
 /// preload into a fresh snapshot and empties the logs before serving, so
 /// stale records from a previous incarnation can never alias the ids the
 /// new run assigns.
@@ -462,10 +493,8 @@ fn startup_establishes_a_snapshot_and_resets_the_wal() {
 fn sigkill_under_memory_pressure_loses_no_acked_entry() {
     let dir = tmpdir("sigkill-pressure");
     let save = dir.join("corpus");
-    let mut server = start_server(
-        &["--save", save.to_str().unwrap(), "--wal", "--max-memory-bytes", "8192"],
-        &[],
-    );
+    let mut server =
+        start_server(&["--save", save.to_str().unwrap(), "--max-memory-bytes", "8192"], &[]);
     let mut conn = Connection::open(&server.addr);
     let (mut acked, mut sheds) = (0usize, 0usize);
     while sheds < 4 {
