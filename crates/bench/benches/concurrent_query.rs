@@ -12,7 +12,7 @@
 //!   every client querying concurrently, each holding the corpus *read*
 //!   lock only for its signature scan.
 //!
-//! The pairwise LRU is disabled so the benchmark isolates *lock*
+//! The query memo is disabled so the benchmark isolates *lock*
 //! behaviour: with caching on, repeat queries collapse to hash lookups
 //! and both regimes finish instantly. Every query scores on its calling
 //! thread, so the clients are the only parallelism.

@@ -9,7 +9,7 @@
 //! * `index_cold` — prefiltered index with the cache disabled: the
 //!   signature prefilter alone;
 //! * `index_warm` — default index answering a repeated query: prefilter
-//!   plus LRU cache.
+//!   plus the query memo.
 
 use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
@@ -77,7 +77,7 @@ fn bench_index_vs_naive(c: &mut Criterion) {
         bencher.iter(|| black_box(cold.query(black_box(&probe), 3)));
     });
 
-    // Warm index: defaults, repeated query → LRU hits.
+    // Warm index: defaults, repeated query → memo hits.
     let warm = build_index(IndexOptions {
         prefilter: PrefilterConfig { min_candidates: 8, per_k: 2, ..PrefilterConfig::default() },
         ..IndexOptions::default()

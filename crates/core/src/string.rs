@@ -10,6 +10,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use crate::token::{TokenLiteral, WeightedToken};
 
@@ -157,6 +158,9 @@ impl fmt::Display for TokenId {
 pub struct TokenInterner {
     map: HashMap<TokenLiteral, TokenId>,
     rev: Vec<TokenLiteral>,
+    /// Spilled bytes of the `Sym` literals in `rev`, kept as a running
+    /// total so [`TokenInterner::approx_bytes`] need not walk `rev`.
+    spilled: usize,
 }
 
 impl TokenInterner {
@@ -172,7 +176,11 @@ impl TokenInterner {
         }
         let id = TokenId(self.rev.len() as u32);
         self.map.insert(literal.clone(), id);
-        self.rev.push(literal.clone());
+        let stored = literal.clone();
+        if let TokenLiteral::Sym(s) = &stored {
+            self.spilled += s.capacity();
+        }
+        self.rev.push(stored);
         id
     }
 
@@ -198,22 +206,15 @@ impl TokenInterner {
     /// The estimate is deterministic for a given set of interned
     /// literals, which is what quota accounting needs: the index
     /// charges the *growth* of this number after each intern batch
-    /// against a report-only memory account.
+    /// against a report-only memory account. O(1): the spilled bytes
+    /// are a running total kept by [`TokenInterner::intern`].
     pub fn approx_bytes(&self) -> usize {
         let entry = std::mem::size_of::<(TokenLiteral, TokenId)>();
-        let spilled: usize = self
-            .rev
-            .iter()
-            .map(|literal| match literal {
-                TokenLiteral::Sym(s) => s.capacity(),
-                _ => 0,
-            })
-            .sum();
         // Each literal is stored twice (map key + rev entry); `Sym`
         // strings clone their bytes, so spilled bytes count twice too.
         self.map.capacity() * entry
             + self.rev.capacity() * std::mem::size_of::<TokenLiteral>()
-            + 2 * spilled
+            + 2 * self.spilled
     }
 
     /// Interns a whole weighted string into an [`IdString`].
@@ -270,6 +271,15 @@ impl PartialEq for IdString {
 }
 
 impl Eq for IdString {}
+
+impl Hash for IdString {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        // Consistent with `PartialEq`: the accelerator arrays are pure
+        // functions of `weights`.
+        self.ids.hash(state);
+        self.weights.hash(state);
+    }
+}
 
 impl IdString {
     /// Builds an id string directly from ids and weights.
@@ -376,6 +386,28 @@ mod tests {
         i.intern(&TokenLiteral::Root);
         i.intern(&TokenLiteral::Sym(sym));
         assert_eq!(i.approx_bytes(), with_sym);
+    }
+
+    #[test]
+    fn interner_footprint_equals_a_walk_of_its_literals() {
+        let mut i = TokenInterner::new();
+        for n in 0..40u64 {
+            i.intern(&op("write", 4096 + n % 7, 1).literal);
+            i.intern(&TokenLiteral::Sym(format!("sym-{n}-").repeat(1 + n as usize % 5)));
+            i.intern(&TokenLiteral::Root);
+        }
+        let spilled: usize = i
+            .rev
+            .iter()
+            .map(|literal| match literal {
+                TokenLiteral::Sym(s) => s.capacity(),
+                _ => 0,
+            })
+            .sum();
+        let walk = i.map.capacity() * std::mem::size_of::<(TokenLiteral, TokenId)>()
+            + i.rev.capacity() * std::mem::size_of::<TokenLiteral>()
+            + 2 * spilled;
+        assert_eq!(i.approx_bytes(), walk);
     }
 
     #[test]

@@ -5,25 +5,27 @@
 //! ingested trace is preprocessed exactly once, and a k-NN query against a
 //! corpus of `n` entries costs one pipeline run for the query trace plus
 //! full Kast kernel evaluations for only the prefiltered candidate subset
-//! (minus whatever the LRU cache already knows).
+//! (minus whatever the query memo already knows).
 //!
 //! # One corpus, locked only to scan or append
 //!
 //! The corpus is one id-ordered vector of [`Arc`] entry handles plus a
 //! signature column, under one `RwLock`: the entry with [`EntryId`] `i`
 //! sits at position `i`. Every other mutable accelerator — the shared
-//! [`TokenInterner`], the striped pairwise-kernel cache
-//! ([`crate::lru::SharedKernelCache`]), the per-query self-kernel memo
-//! and the work counters — sits behind interior mutability of its own,
-//! so both [`PatternIndex::query`] and [`PatternIndex::ingest`] take
-//! `&self`: any number of threads can share one index behind a plain
-//! `Arc` with no external lock.
+//! [`TokenInterner`], the query memo (each query's self-kernel and the
+//! raw kernel values of its current candidates, keyed by the query's
+//! interned string) and the work counters — sits behind interior
+//! mutability of its own, so both [`PatternIndex::query`] and
+//! [`PatternIndex::ingest`] take `&self`: any number of threads can
+//! share one index behind a plain `Arc` with no external lock.
 //!
 //! A query read-locks the corpus only for the signature scan and leaves
-//! with at most `budget` entry handles; cache lookups, scoring,
-//! normalisation and ranking then run with no corpus lock held. An
-//! ingest write-locks it only to push its finished entries, so it waits
-//! for the scans in flight, never for whole queries.
+//! with at most `budget` entry handles. It then takes the memo's mutex
+//! once to recall what the memo knows, and a second time only to
+//! remember what it computed; scoring, normalisation and ranking run
+//! with no lock held. An ingest write-locks the corpus only to push its
+//! finished entries, so it waits for the scans in flight, never for
+//! whole queries.
 //!
 //! # Ingestion: prepare, then commit
 //!
@@ -43,22 +45,21 @@
 //! For every neighbour the index returns, the reported similarity is
 //! **bit-identical** to calling [`KastKernel::normalized`] directly on the
 //! same pair of interned strings — the index changes *which* pairs are
-//! evaluated (prefilter) and *how often* (cache), never the arithmetic.
+//! evaluated (prefilter) and *how often* (memo), never the arithmetic.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
 use kastio_core::{
     ByteMode, IdString, KastKernel, KastOptions, Normalization, PatternPipeline, StringKernel,
-    TokenId, TokenInterner,
+    TokenInterner,
 };
 use kastio_quota::{Account, MemoryQuota};
 use kastio_trace::{valid_entry_name, valid_entry_tag, PatternSignature, SignatureConfig, Trace};
 
 use crate::entry::{entry_footprint_bytes, EntryId, IndexEntry};
-use crate::lru::SharedKernelCache;
+use crate::memo::QueryMemo;
 use crate::prefilter::{select_candidates, PrefilterConfig};
 
 /// Configuration of a [`PatternIndex`].
@@ -84,9 +85,9 @@ pub struct IndexOptions {
     pub signature: SignatureConfig,
     /// Candidate prefilter configuration.
     pub prefilter: PrefilterConfig,
-    /// Total capacity of the index-wide pairwise kernel cache, in pairs
-    /// (0 disables caching). The cache gets one lock stripe per 1,024
-    /// pairs, up to 16.
+    /// Capacity of each of the query memo's two generations, in pairs
+    /// and in queries (0 disables the memo), so the memo holds at most
+    /// twice that many pairs.
     pub cache_capacity: usize,
     /// Ignored: the corpus is one vector under one lock. The field stays
     /// for callers that still set it.
@@ -108,9 +109,9 @@ impl Default for IndexOptions {
 
 /// Monotonic counters describing the work an index has done.
 ///
-/// `kernel_evals` counts *query-time* pairwise Kast evaluations (cache
+/// `kernel_evals` counts *query-time* pairwise Kast evaluations (memo
 /// misses); self-kernels are reported separately — one per ingested trace
-/// in `ingest_evals`, and one per *distinct* cosine query in
+/// in `ingest_evals`, and one per cosine query the memo does not know in
 /// `query_self_evals` (repeats of a known query reuse the memoised
 /// value). `kernel_evals + cache_hits` is the total number of
 /// (query, entry) pairs scored, and `prefilter_pruned` the pairs never
@@ -121,7 +122,7 @@ pub struct IndexStats {
     pub queries: u64,
     /// Pairwise kernel evaluations performed while answering queries.
     pub kernel_evals: u64,
-    /// Query pairs answered from the LRU cache.
+    /// Query pairs answered from the query memo.
     pub cache_hits: u64,
     /// Entries skipped by the signature prefilter, summed over queries.
     pub prefilter_pruned: u64,
@@ -288,9 +289,10 @@ pub struct QueryTimings {
     /// Signature prefilter: the scan under the corpus read lock, lock
     /// acquisition included, and the clone of the chosen entry handles.
     pub prefilter_ns: u64,
-    /// Shared kernel-cache lookups plus the post-scoring cache fills.
+    /// The query memo: its recall, plus its remember when the query
+    /// computed something.
     pub cache_ns: u64,
-    /// Kernel scoring of the cache misses.
+    /// Kernel scoring of the memo misses.
     pub kernel_ns: u64,
 }
 
@@ -315,9 +317,9 @@ pub struct QueryResult {
     pub label: Option<String>,
     /// Candidates that survived the prefilter for this query.
     pub candidates: usize,
-    /// Full kernel evaluations this query performed (cache misses).
+    /// Full kernel evaluations this query performed (memo misses).
     pub evaluated: usize,
-    /// Pairs this query answered from the cache.
+    /// Pairs this query answered from the query memo.
     pub cache_hits: usize,
     /// Per-stage monotonic-clock spans measured while answering.
     pub timings: QueryTimings,
@@ -375,8 +377,8 @@ pub struct PatternIndex {
     interner: Mutex<TokenInterner>,
     /// Read-locked by a query's scan, write-locked by a commit's append.
     corpus: RwLock<Corpus>,
-    /// The index-wide pairwise kernel cache.
-    cache: Arc<SharedKernelCache>,
+    /// Each query's self-kernel and its candidates' raw kernel values.
+    memo: Arc<QueryMemo>,
     /// Byte account the resident corpus is charged against. Unset until
     /// [`PatternIndex::attach_quota`] — an unattached index does no
     /// memory admission at all.
@@ -388,14 +390,10 @@ pub struct PatternIndex {
     /// intern batch charges only its growth.
     interner_account: OnceLock<Account>,
     interner_charged: AtomicU64,
-    /// Report-only account carrying the query registry's memoised
-    /// entries; released wholesale when the registry resets.
-    registry_account: OnceLock<Account>,
     /// The next id to give out. Held by [`PatternIndex::commit`] while it
     /// allocates ids, logs the entries and appends them, so log order and
     /// corpus order are both id order.
     next_id: Mutex<u32>,
-    queries: Mutex<QueryRegistry>,
     stats: SharedStats,
     /// Snapshot health. Locked only for brief reads/updates, so `STATS`
     /// never waits on a save's disk I/O.
@@ -404,39 +402,6 @@ pub struct PatternIndex {
     /// shutdown) so their writes and compactions cannot interleave. Separate
     /// from the status mutex above on purpose.
     save_lock: Mutex<()>,
-}
-
-/// Full-content identity of a query string: its exact id and weight
-/// vectors. Used instead of a content *hash* so two distinct queries can
-/// never alias a cache entry — a collision would silently serve the wrong
-/// kernel value and break the bit-identical contract.
-type QueryKey = (Vec<TokenId>, Vec<u64>);
-
-/// What the index remembers about a distinct query: its dense id (the
-/// query half of pair-cache keys) and its memoised self-kernel.
-#[derive(Debug, Clone, Copy)]
-struct QueryInfo {
-    id: u64,
-    self_kernel: Option<f64>,
-}
-
-/// Maps distinct query strings to [`QueryInfo`]. Bounded: when it
-/// outgrows its capacity it resets together with the shared pair cache
-/// (the dense ids keep increasing, so even a racy mix of old and new
-/// entries could not alias — the reset just keeps memory flat).
-#[derive(Debug, Default)]
-struct QueryRegistry {
-    map: HashMap<QueryKey, QueryInfo>,
-    next_id: u64,
-}
-
-/// Approximate bytes one memoised registry entry keeps alive: the cloned
-/// key vectors plus the map entry itself. Charged to the report-only
-/// `query-registry` account on insert and released in bulk on reset.
-fn registry_entry_bytes(key: &QueryKey) -> u64 {
-    (std::mem::size_of::<(QueryKey, QueryInfo)>()
-        + key.0.len() * std::mem::size_of::<TokenId>()
-        + key.1.len() * std::mem::size_of::<u64>()) as u64
 }
 
 impl PatternIndex {
@@ -448,13 +413,11 @@ impl PatternIndex {
             kernel: KastKernel::new(opts.kast),
             interner: Mutex::new(TokenInterner::new()),
             corpus: RwLock::new(Corpus::default()),
-            cache: Arc::new(SharedKernelCache::new(opts.cache_capacity)),
+            memo: Arc::new(QueryMemo::new(opts.cache_capacity)),
             corpus_account: OnceLock::new(),
             interner_account: OnceLock::new(),
             interner_charged: AtomicU64::new(0),
-            registry_account: OnceLock::new(),
             next_id: Mutex::new(0),
-            queries: Mutex::new(QueryRegistry::default()),
             stats: SharedStats::default(),
             snapshot: Mutex::new(SnapshotStatus::default()),
             save_lock: Mutex::new(()),
@@ -526,14 +489,14 @@ impl PatternIndex {
         self.save_lock.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Number of pairs currently held by the shared kernel cache.
+    /// Number of pairs the query memo holds, in both its generations.
     pub fn cached_pairs(&self) -> usize {
-        self.cache.len()
+        self.memo.len()
     }
 
     /// Wires the index into a memory budget: charges the resident corpus
-    /// to a `corpus` account, the kernel cache to a `cache` account, and
-    /// registers the cache as the budget's reclaim target (under
+    /// to a `corpus` account, the query memo to a `cache` account, and
+    /// registers the memo as the budget's reclaim target (under
     /// pressure the quota clears it, the cheapest memory the index can
     /// give back). After attachment every ingest is *admission
     /// controlled*: an entry whose footprint no longer fits is refused
@@ -561,15 +524,13 @@ impl PatternIndex {
                 account.charge(preloaded);
             }
         }
-        self.cache.attach_account(quota.account("cache"));
-        let cache = Arc::downgrade(&self.cache);
-        quota.set_reclaimer("cache", move |_wanted| {
-            cache.upgrade().map_or(0, |cache| cache.clear())
-        });
-        // Unreclaimable side: the interner and the query registry hold
-        // memory the index can never give back, so they are charged to
-        // report-only accounts — counted in the root total (and the
-        // `mem_unreclaimable_bytes` gauge) but never a reclaim source.
+        self.memo.attach_account(quota.account("cache"));
+        let memo = Arc::downgrade(&self.memo);
+        quota.set_reclaimer("cache", move |_wanted| memo.upgrade().map_or(0, |memo| memo.clear()));
+        // Unreclaimable side: the interner holds memory the index can
+        // never give back, so it is charged to a report-only account —
+        // counted in the root total (and the `mem_unreclaimable_bytes`
+        // gauge) but never a reclaim source.
         let interner = quota.report_account("interner");
         let preinterned = self.lock_interner().approx_bytes() as u64;
         if preinterned > 0 {
@@ -577,7 +538,6 @@ impl PatternIndex {
         }
         self.interner_charged.store(preinterned, Ordering::Relaxed);
         let _ = self.interner_account.set(interner);
-        let _ = self.registry_account.set(quota.report_account("query-registry"));
     }
 
     /// Runs the trace → weighted string pipeline and interns the result
@@ -707,7 +667,7 @@ impl PatternIndex {
         if let Some(account) = self.corpus_account.get() {
             // An auto-named entry is estimated with the widest name an id
             // can render to ("e" + u32), so the charge never depends on
-            // the id. `try_charge` reclaims (clears the kernel cache)
+            // the id. `try_charge` reclaims (clears the query memo)
             // before refusing, so a refusal means the corpus truly cannot
             // grow.
             let footprint = items
@@ -785,9 +745,8 @@ impl PatternIndex {
     /// the majority-vote label.
     ///
     /// Pipeline: convert + intern the query once, prefilter the corpus by
-    /// signature distance, serve cached pairs from the shared kernel
-    /// cache, score the remaining candidates and rank — all on the calling
-    /// thread. Only the prefilter scan holds the corpus *read* lock, so
+    /// signature distance, recall known pairs from the query memo, score
+    /// the remaining candidates and rank — all on the calling thread. Only the prefilter scan holds the corpus *read* lock, so
     /// any number of queries run concurrently, and an ingest waits for
     /// scans, never for scoring.
     ///
@@ -830,15 +789,6 @@ impl PatternIndex {
         k: usize,
     ) -> QueryResult {
         self.stats.queries.fetch_add(1, Ordering::Relaxed);
-
-        // Resolve the query's exact identity (and memoised self-kernel)
-        // before taking the corpus lock. Lock order: the registry mutex
-        // may be acquired *before* the corpus lock and cache stripe locks
-        // (its reset path clears the shared cache while holding it),
-        // never after — no code path may take the registry while holding
-        // the corpus lock or a cache stripe, or the order would cycle.
-        let (query_key, query_self) = self.query_identity(query);
-
         let mut timings = QueryTimings::default();
 
         // The only corpus lock a query takes: the scan, then a clone of
@@ -864,44 +814,59 @@ impl PatternIndex {
         tests::park_after_scan();
         self.stats.prefilter_pruned.fetch_add((total - candidates.len()) as u64, Ordering::Relaxed);
 
-        // Serve what the shared kernel cache already knows; collect the
-        // rest. The cache is keyed by (query, entry id).
+        // The first memo lock, with no other lock held: everything the
+        // memo knows about this query, in one probe.
         let stage = Instant::now();
-        let mut raw_values: Vec<(&IndexEntry, f64)> = Vec::with_capacity(candidates.len());
-        let mut misses: Vec<&IndexEntry> = Vec::new();
-        for entry in &candidates {
-            match self.cache.get((query_key, entry.id.0)) {
-                Some(value) => raw_values.push((entry, value)),
-                None => misses.push(entry),
-            }
-        }
+        let (recalled_self, recalled) =
+            self.memo.recall(query, candidates.iter().map(|entry| entry.id));
         timings.cache_ns += span_ns(stage);
-        let cache_hits = raw_values.len();
-        let evaluated = misses.len();
-        self.stats.cache_hits.fetch_add(cache_hits as u64, Ordering::Relaxed);
-        self.stats.kernel_evals.fetch_add(evaluated as u64, Ordering::Relaxed);
+        let cosine = self.opts.kast.normalization == Normalization::Cosine;
+        let fresh_self = cosine && recalled_self.is_none();
+        let query_self = match recalled_self {
+            Some(value) => value,
+            None if cosine => {
+                self.stats.query_self_evals.fetch_add(1, Ordering::Relaxed);
+                self.kernel.raw(query, query)
+            }
+            None => 0.0,
+        };
 
         // Score the misses on the calling thread. `KastKernel::raw` keeps
         // per-*thread* scratch buffers, which stay warm across queries on
         // the serve daemon's persistent workers.
         let stage = Instant::now();
-        let scored: Vec<(&IndexEntry, f64)> = misses
-            .into_iter()
-            .map(|entry| (entry, self.kernel.raw(query, &entry.string)))
+        let mut evaluated = 0;
+        let raw: Vec<f64> = candidates
+            .iter()
+            .zip(recalled)
+            .map(|(entry, known)| {
+                known.unwrap_or_else(|| {
+                    evaluated += 1;
+                    self.kernel.raw(query, &entry.string)
+                })
+            })
             .collect();
         timings.kernel_ns = span_ns(stage);
-        let stage = Instant::now();
-        for &(entry, value) in &scored {
-            self.cache.insert((query_key, entry.id.0), value);
+        let cache_hits = candidates.len() - evaluated;
+        self.stats.cache_hits.fetch_add(cache_hits as u64, Ordering::Relaxed);
+        self.stats.kernel_evals.fetch_add(evaluated as u64, Ordering::Relaxed);
+
+        // The second memo lock, only if this query computed something:
+        // its whole candidate set replaces what the memo held for it.
+        if fresh_self || evaluated > 0 {
+            let stage = Instant::now();
+            let pairs = candidates.iter().map(|entry| entry.id).zip(raw.iter().copied()).collect();
+            self.memo.remember(query, cosine.then_some(query_self), pairs);
+            timings.cache_ns += span_ns(stage);
         }
-        timings.cache_ns += span_ns(stage);
-        raw_values.extend(scored);
 
         // Normalise with the precomputed denominators, replicating
-        // `KastKernel::normalized(query, entry)` bit for bit.
+        // `KastKernel::normalized(query, entry)` bit for bit, then rank
+        // and copy names and labels for the k neighbours returned only.
         let query_mass = query.weight_at_least(self.opts.kast.cut_weight);
-        let mut neighbors: Vec<Neighbor> = raw_values
-            .into_iter()
+        let mut ranked: Vec<(f64, &IndexEntry)> = candidates
+            .iter()
+            .zip(raw)
             .map(|(entry, kab)| {
                 let similarity = match self.opts.kast.normalization {
                     Normalization::Cosine => {
@@ -920,21 +885,22 @@ impl PatternIndex {
                         }
                     }
                 };
-                Neighbor {
-                    id: entry.id,
-                    name: entry.name.clone(),
-                    label: entry.label.clone(),
-                    similarity,
-                }
+                (similarity, &**entry)
             })
             .collect();
-        neighbors.sort_by(|a, b| {
-            b.similarity
-                .partial_cmp(&a.similarity)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.id.cmp(&b.id))
+        ranked.sort_by(|a, b| {
+            b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal).then(a.1.id.cmp(&b.1.id))
         });
-        neighbors.truncate(k);
+        ranked.truncate(k);
+        let neighbors: Vec<Neighbor> = ranked
+            .into_iter()
+            .map(|(similarity, entry)| Neighbor {
+                id: entry.id,
+                name: entry.name.clone(),
+                label: entry.label.clone(),
+                similarity,
+            })
+            .collect();
         let label = majority_label(&neighbors);
         QueryResult {
             neighbors,
@@ -944,77 +910,6 @@ impl PatternIndex {
             cache_hits,
             timings,
         }
-    }
-
-    /// Resolves the query half of pair-cache keys (a dense id assigned to
-    /// the exact string content — never a hash, so distinct queries can
-    /// never alias) and the query self-kernel, memoised per distinct
-    /// query so repeated queries skip the quadratic `raw(q, q)`.
-    ///
-    /// The registry mutex is *not* held while the self-kernel is computed
-    /// — a concurrent identical query may race to compute the same value,
-    /// which is benign (the kernel is deterministic, so both arrive at the
-    /// same bits) and keeps a slow first-time query from serialising every
-    /// other query behind the registry lock.
-    ///
-    /// With caching disabled (`cache_capacity == 0`) nothing is
-    /// remembered: the self-kernel is recomputed per query, matching the
-    /// uncached pair path.
-    fn query_identity(&self, query: &IdString) -> (u64, f64) {
-        let need_self = self.opts.kast.normalization == Normalization::Cosine;
-        let compute_self = || {
-            self.stats.query_self_evals.fetch_add(1, Ordering::Relaxed);
-            self.kernel.raw(query, query)
-        };
-        if self.opts.cache_capacity == 0 {
-            let query_self = if need_self { compute_self() } else { 0.0 };
-            return (0, query_self);
-        }
-        let key: QueryKey = (query.ids().to_vec(), query.weights().to_vec());
-        let id = {
-            let mut registry = self.lock_registry();
-            // Bound the registry by the cache capacity: past it, reset it
-            // together with the shared pair cache (the cache is keyed by
-            // these ids, so they retire together).
-            if registry.map.len() >= self.opts.cache_capacity && !registry.map.contains_key(&key) {
-                registry.map.clear();
-                self.cache.clear();
-                if let Some(account) = self.registry_account.get() {
-                    // The reset frees every memoised entry at once; the
-                    // account only ever holds registry bytes, so its own
-                    // balance is exactly what to give back.
-                    account.release(account.used());
-                }
-            }
-            let QueryRegistry { map, next_id } = &mut *registry;
-            let fresh_id = *next_id;
-            let info =
-                map.entry(key.clone()).or_insert(QueryInfo { id: fresh_id, self_kernel: None });
-            if info.id == fresh_id {
-                *next_id += 1;
-                if let Some(account) = self.registry_account.get() {
-                    account.charge(registry_entry_bytes(&key));
-                }
-            }
-            if !need_self {
-                return (info.id, 0.0);
-            }
-            if let Some(value) = info.self_kernel {
-                return (info.id, value);
-            }
-            info.id
-        };
-        // Compute outside the lock, then publish.
-        let value = compute_self();
-        let mut registry = self.lock_registry();
-        if let Some(info) = registry.map.get_mut(&key) {
-            info.self_kernel = Some(value);
-        }
-        (id, value)
-    }
-
-    fn lock_registry(&self) -> MutexGuard<'_, QueryRegistry> {
-        self.queries.lock().unwrap_or_else(|p| p.into_inner())
     }
 
     fn read_corpus(&self) -> RwLockReadGuard<'_, Corpus> {
@@ -1188,9 +1083,9 @@ mod tests {
     }
 
     #[test]
-    fn query_registry_reset_preserves_correctness() {
-        // Capacity 2: the third distinct query forces a registry + cache
-        // reset; results must stay identical to an unbounded index.
+    fn memo_rotation_preserves_correctness() {
+        // Capacity 2: every distinct query rotates the memo's
+        // generations; results must stay identical to an unbounded index.
         let bounded =
             PatternIndex::new(IndexOptions { cache_capacity: 2, ..IndexOptions::default() });
         let unbounded = PatternIndex::new(IndexOptions::default());
@@ -1208,10 +1103,52 @@ mod tests {
         }
         assert!(
             bounded.stats().query_self_evals > unbounded.stats().query_self_evals,
-            "the reset forgot some memoised self-kernels (bounded {} vs unbounded {})",
+            "rotation forgot some memoised self-kernels (bounded {} vs unbounded {})",
             bounded.stats().query_self_evals,
             unbounded.stats().query_self_evals
         );
+    }
+
+    #[test]
+    fn a_hot_query_keeps_its_pairs_across_a_stream_of_new_queries() {
+        let index =
+            PatternIndex::new(IndexOptions { cache_capacity: 64, ..IndexOptions::default() });
+        for i in 0..8 {
+            let trace = parse_trace(&"h0 write 4096\n".repeat(8 + i)).unwrap();
+            index.ingest(format!("h{i}"), "w", trace).unwrap();
+        }
+        let hot = parse_trace(&"h0 write 4096\n".repeat(12)).unwrap();
+        assert_eq!(index.query(&hot, 3).evaluated, 8);
+        let mut n = 0;
+        for round in 0..50 {
+            for _ in 0..4 {
+                let fresh = parse_trace(&format!("h0 write {}\n", 10_000 + n).repeat(6)).unwrap();
+                assert_eq!(index.query(&fresh, 3).evaluated, 8);
+                n += 1;
+            }
+            assert_eq!(
+                index.query(&hot, 3).evaluated,
+                0,
+                "round {round}: the hot query lost pairs"
+            );
+        }
+        assert_eq!(index.stats().query_self_evals, 1 + 200, "one self-kernel per distinct query");
+    }
+
+    #[test]
+    fn an_exact_copy_is_not_always_the_top_match() {
+        // Cosine-normalised Kast similarity is not bounded by 1.
+        let trace = |reps: usize| {
+            let body = "h0 read 16384\nh0 write 32768\n".repeat(reps);
+            parse_trace(&format!("h0 open 0\n{body}h0 close 0\n")).unwrap()
+        };
+        let index = PatternIndex::new(IndexOptions::default());
+        index.ingest("a", "x", trace(6)).unwrap();
+        index.ingest("b", "x", trace(9)).unwrap();
+        let result = index.query(&trace(6), 2);
+        let ranked: Vec<(&str, f64)> =
+            result.neighbors.iter().map(|n| (n.name.as_str(), n.similarity)).collect();
+        assert_eq!(ranked, [("b", 2.5428571428571427), ("a", 1.0)]);
     }
 
     #[test]
@@ -1386,51 +1323,60 @@ mod tests {
     fn concurrent_queries_and_ingests_stay_exact() {
         // One writer keeps ingesting new entries while readers hammer the
         // index with queries; every similarity a reader sees must still be
-        // the exact kernel value for that (query, entry) pair.
-        let index = std::sync::Arc::new(PatternIndex::new(IndexOptions::default()));
-        for i in 0..6 {
-            index.ingest(format!("w{i}"), "w", checkpoint(8 + i)).unwrap();
-            index.ingest(format!("r{i}"), "r", scan(8 + i)).unwrap();
-        }
-        let expected: Vec<(String, f64)> = {
-            let probe = index.intern_trace(&checkpoint(9));
-            index
-                .entries()
+        // the exact kernel value for that (query, entry) pair. At capacity
+        // 4 the two probes rotate the memo's generations mid-flight.
+        for cache_capacity in [IndexOptions::default().cache_capacity, 4] {
+            let index =
+                PatternIndex::new(IndexOptions { cache_capacity, ..IndexOptions::default() });
+            for i in 0..6 {
+                index.ingest(format!("w{i}"), "w", checkpoint(8 + i)).unwrap();
+                index.ingest(format!("r{i}"), "r", scan(8 + i)).unwrap();
+            }
+            let probes = [checkpoint(9), scan(9)];
+            let expected: Vec<Vec<(String, f64)>> = probes
                 .iter()
-                .map(|e| (e.name.clone(), index.kernel().normalized(&probe, &e.string)))
-                .collect()
-        };
-        std::thread::scope(|scope| {
-            let writer_index = std::sync::Arc::clone(&index);
-            scope.spawn(move || {
-                for i in 0..8 {
-                    writer_index.ingest(format!("x{i}"), "x", checkpoint(40 + i)).unwrap();
-                }
-            });
-            for _ in 0..3 {
-                let reader_index = std::sync::Arc::clone(&index);
-                let expected = &expected;
+                .map(|probe| {
+                    let probe = index.intern_trace(probe);
+                    index
+                        .entries()
+                        .iter()
+                        .map(|e| (e.name.clone(), index.kernel().normalized(&probe, &e.string)))
+                        .collect()
+                })
+                .collect();
+            std::thread::scope(|scope| {
+                let index = &index;
                 scope.spawn(move || {
-                    for _ in 0..10 {
-                        let result = reader_index.query(&checkpoint(9), 4);
-                        for n in &result.neighbors {
-                            if let Some((_, want)) =
-                                expected.iter().find(|(name, _)| *name == n.name)
-                            {
-                                assert_eq!(
-                                    n.similarity.to_bits(),
-                                    want.to_bits(),
-                                    "{}: concurrent query drifted from direct evaluation",
-                                    n.name
-                                );
-                            }
-                        }
+                    for i in 0..8 {
+                        index.ingest(format!("x{i}"), "x", checkpoint(40 + i)).unwrap();
                     }
                 });
-            }
-        });
-        assert_eq!(index.len(), 20);
-        let ids: Vec<u32> = index.entries().iter().map(|e| e.id.0).collect();
-        assert_eq!(ids, (0..20).collect::<Vec<_>>(), "the corpus is the id prefix");
+                for reader in 0..3 {
+                    let (probes, expected) = (&probes, &expected);
+                    scope.spawn(move || {
+                        for round in 0..10 {
+                            let which = (reader + round) % probes.len();
+                            let result = index.query(&probes[which], 4);
+                            for n in &result.neighbors {
+                                if let Some((_, want)) =
+                                    expected[which].iter().find(|(name, _)| *name == n.name)
+                                {
+                                    assert_eq!(
+                                        n.similarity.to_bits(),
+                                        want.to_bits(),
+                                        "{}: concurrent query drifted from direct evaluation \
+                                         (capacity {cache_capacity})",
+                                        n.name
+                                    );
+                                }
+                            }
+                        }
+                    });
+                }
+            });
+            assert_eq!(index.len(), 20);
+            let ids: Vec<u32> = index.entries().iter().map(|e| e.id.0).collect();
+            assert_eq!(ids, (0..20).collect::<Vec<_>>(), "the corpus is the id prefix");
+        }
     }
 }

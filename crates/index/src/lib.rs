@@ -12,9 +12,10 @@
 //! 1. a **signature prefilter** ([`prefilter`]) that ranks the corpus by
 //!    cheap scalar distance and hands only a budgeted candidate subset to
 //!    the kernel stage;
-//! 2. a **shared, byte-accounted LRU cache** ([`lru`]) of pairwise raw
-//!    kernel values — one striped pool, so repeated or neighbouring
-//!    queries stop paying for the quadratic string comparison;
+//! 2. a **query memo**: one byte-accounted map from a query's interned
+//!    string to its self-kernel and the raw kernel values of its current
+//!    candidates, kept in two generations, so a repeated query stops
+//!    paying for the quadratic string comparison;
 //! 3. **inline batch scoring** — the surviving candidates are scored on
 //!    the calling thread, reusing its warm kernel scratch buffers. A
 //!    query never spawns threads: the serve daemon's parallelism comes
@@ -31,7 +32,7 @@
 //!
 //! Accuracy contract: the similarity reported for every returned
 //! neighbour is bit-identical to a direct [`kastio_core::KastKernel`]
-//! evaluation of the same pair; prefilter and cache change which pairs
+//! evaluation of the same pair; prefilter and memo change which pairs
 //! are evaluated and how often, never the arithmetic.
 //!
 //! [`persist`] saves a corpus as **one durable snapshot file**,
@@ -89,7 +90,7 @@
 pub mod entry;
 pub mod fault;
 pub mod index;
-pub mod lru;
+mod memo;
 pub mod metrics;
 pub mod persist;
 pub mod prefilter;
@@ -105,7 +106,6 @@ pub use index::{
     SnapshotStatus,
 };
 pub use kastio_trace::CorpusIoError;
-pub use lru::{KernelCache, SharedKernelCache};
 pub use persist::{
     load_index, save_index_if_changed_wal, save_index_wal, SnapshotInfo, Snapshotter,
 };

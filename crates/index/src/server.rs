@@ -264,8 +264,8 @@ impl Server {
     }
 
     /// Attaches a memory budget of `limit` bytes (`None`: unlimited, the
-    /// default). With a limit, the corpus and the kernel cache are
-    /// charged against it (the cache doubles as the reclaim target), and
+    /// default). With a limit, the corpus and the query memo are
+    /// charged against it (the memo doubles as the reclaim target), and
     /// requests that would grow past it are shed with
     /// `ERR busy reason=memory` — the connection stays open, the daemon
     /// stays up, and the shed is counted in `STATS` / `METRICS`.

@@ -92,8 +92,9 @@ proptest! {
     }
 
     /// Cached and uncached kernel lookups are interchangeable: an index
-    /// with the LRU disabled, an index answering fresh, and an index
-    /// answering from cache all return bit-identical neighbour lists.
+    /// with the query memo disabled, an index answering fresh, and an
+    /// index answering from its memo all return bit-identical neighbour
+    /// lists.
     #[test]
     fn cached_lookups_equal_uncached(corpus in arb_corpus(), query in arb_trace()) {
         let cached = PatternIndex::new(IndexOptions::default());

@@ -9,7 +9,7 @@
 //!
 //! All clients share one [`TracePool`] (derived from the seed alone), so
 //! the hot-key scenario's skewed picks actually collide across clients
-//! and exercise the server's kernel LRU and memoised self-kernels.
+//! and exercise the server's query memo (pairs and self-kernels).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -24,14 +24,14 @@
 //!   charges ride on the 1/8 headroom the watermarks keep clear.
 //!
 //! [`MemoryQuota::report_account`] opens a **report-only** account for
-//! memory the process can never give back (interned token tables,
-//! memoised self-kernels): its charges count toward the root total and
+//! memory the process can never give back (interned token tables):
+//! its charges count toward the root total and
 //! a separate [`MemoryQuota::unreclaimable`] gauge, and it can never
 //! have a reclaimer — so operators can see how much of the budget is
 //! permanently spoken for.
 //!
 //! Reclaim callbacks ([`MemoryQuota::set_reclaimer`]) free memory on
-//! their own (e.g. clear cache stripes) and report the bytes they
+//! their own (e.g. clear a cache) and report the bytes they
 //! released via their own [`Account::release`] calls; the pass observes
 //! progress through the account's usage counter. A quota built without a
 //! limit ([`MemoryQuota::unlimited`]) admits everything and never
@@ -183,7 +183,7 @@ impl MemoryQuota {
     }
 
     /// Opens a **report-only** child account for memory the process can
-    /// never give back (interned token tables, memoised self-kernels).
+    /// never give back (interned token tables).
     /// Charges count toward [`MemoryQuota::used`] — so admission and the
     /// watermarks see the true footprint — and toward the
     /// [`MemoryQuota::unreclaimable`] gauge. A report-only account can

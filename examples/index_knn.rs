@@ -73,7 +73,7 @@ fn main() {
         }
     }
 
-    // The same probe again is answered from the LRU cache.
+    // The same probe again is answered from the query memo.
     let again = index.query(&probes[0].1, 3);
     println!("\nrepeat probe: {} kernel evals, {} cache hits", again.evaluated, again.cache_hits);
     let stats = index.stats();

@@ -142,8 +142,8 @@ const HELP_TOPICS: &[(&str, &str)] = &[
          SLOWLOG. The daemon always records per-verb and per-stage\n\
          latency histograms, exposed by METRICS (Prometheus text format)\n\
          and summarised as p50/p95/p99 in STATS. --max-memory-bytes puts\n\
-         the corpus, kernel cache and in-flight request buffers under\n\
-         one byte budget: the cache is reclaimed under pressure and\n\
+         the corpus, query memo and in-flight request buffers under\n\
+         one byte budget: the memo is cleared under pressure and\n\
          ingests that would exceed the budget are shed with `ERR busy\n\
          reason=memory` (the connection stays open; reads keep working).\n\
          Default: unlimited. --max-connections (default 1024) sheds\n\

@@ -256,12 +256,12 @@ fn sharded_daemon_serves_concurrent_readers_under_writer_load() {
     assert_eq!(conn.roundtrip("SHUTDOWN\n"), vec!["OK bye".to_string()]);
 }
 
-/// The shared kernel cache warms once per (query, entry) pair: a
-/// repeated hot query is answered entirely from cache — and the
-/// similarities stay bit-identical between the cold and warm passes (the
-/// cache changes where values come from, never what they are).
+/// The query memo warms once per (query, entry) pair: a repeated hot
+/// query is answered entirely from the memo — and the similarities stay
+/// bit-identical between the cold and warm passes (the memo changes where
+/// values come from, never what they are).
 #[test]
-fn shared_cache_warms_a_cross_shard_query_once() {
+fn memo_warms_a_repeated_query_once() {
     let server = start_server();
     let mut conn = Connection::open(&server.addr);
 
@@ -291,7 +291,7 @@ fn shared_cache_warms_a_cross_shard_query_once() {
     assert_eq!(
         stat_value(&after_warm, "cache_hits") - cold_hits,
         cold_evals,
-        "every pair the cold pass evaluated was served from the shared cache: {after_warm:?}"
+        "every pair the cold pass evaluated was served from the query memo: {after_warm:?}"
     );
     assert_eq!(cold, warm, "cache hits change nothing about the reply bytes");
 

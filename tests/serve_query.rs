@@ -175,7 +175,7 @@ fn serve_query_roundtrip_is_bit_identical_and_prefiltered() {
     assert_eq!(stat_value(&stats, "prefilter_pruned"), 4, "4 of 12 never reached the kernel");
     assert_eq!(stat_value(&stats, "ingest_evals"), 12);
 
-    // Same query again: answered entirely from the LRU cache.
+    // Same query again: answered entirely from the query memo.
     let cached = conn.roundtrip(&format!("QUERY k=2 {}\n", encode_trace_inline(&query_trace)));
     assert_eq!(cached, reply, "cached reply is identical");
     let stats = conn.roundtrip("STATS\n");
