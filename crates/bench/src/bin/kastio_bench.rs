@@ -5,7 +5,9 @@
 //! (`KastKernel::{raw,normalized}_reference`, via the `reference`
 //! feature) and writes the medians to `BENCH_kernel.json` in the current
 //! directory, seeding the repo's performance trajectory: re-run it after
-//! a kernel change and diff the JSON.
+//! a kernel change and diff the JSON. The file records the hardware it
+//! was measured on (`available_parallelism`, `cpu`, `kernel`); compare
+//! only files from the same hardware.
 //!
 //! Usage: `cargo run --release --bin kastio-bench [-- <output-path>]`
 
@@ -32,6 +34,31 @@ fn median_ns(samples: usize, per_batch: usize, mut f: impl FnMut()) -> f64 {
     let mut per_call: Vec<f64> = (0..samples).map(|_| run_batch(per_batch)).collect();
     per_call.sort_by(|a, b| a.total_cmp(b));
     per_call[per_call.len() / 2]
+}
+
+/// The first `model name` in `/proc/cpuinfo`, or `unknown`.
+fn host_cpu() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .unwrap_or_default()
+        .lines()
+        .find_map(|line| {
+            line.strip_prefix("model name")?.split_once(':').map(|(_, m)| m.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
+/// The running kernel's release (`/proc/sys/kernel/osrelease`), or
+/// `unknown`.
+fn host_kernel() -> String {
+    std::fs::read_to_string("/proc/sys/kernel/osrelease")
+        .map_or_else(|_| "unknown".to_string(), |s| s.trim().to_string())
+}
+
+/// `text` as a JSON string, minus the characters JSON would need
+/// escaped (none occur in a CPU model name or a kernel release).
+fn json_string(text: &str) -> String {
+    let kept: String = text.chars().filter(|&c| !c.is_control() && c != '"' && c != '\\').collect();
+    format!("\"{kept}\"")
 }
 
 fn main() {
@@ -73,6 +100,8 @@ fn main() {
         "{{\n  \
          \"suite\": \"kernel_eval\",\n  \
          \"available_parallelism\": {parallelism},\n  \
+         \"cpu\": {},\n  \
+         \"kernel\": {},\n  \
          \"pair_tokens\": [{}, {}],\n  \
          \"gram_n\": {GRAM_N},\n  \
          \"units\": \"ns_per_eval\",\n  \
@@ -83,6 +112,8 @@ fn main() {
          \"gram_normalized_memoized_diagonal\": {gram_opt:.1},\n  \
          \"speedup_warm_raw\": {speedup_raw:.2},\n  \
          \"speedup_gram_normalized\": {speedup_gram:.2}\n}}\n",
+        json_string(&host_cpu()),
+        json_string(&host_kernel()),
         a.len(),
         b.len(),
     );

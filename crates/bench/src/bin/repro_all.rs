@@ -1,5 +1,5 @@
 //! Runs every experiment check and prints the consolidated
-//! paper-vs-measured summary used to fill EXPERIMENTS.md.
+//! paper-vs-measured summary.
 
 use std::time::Instant;
 

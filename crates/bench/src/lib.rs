@@ -1,9 +1,10 @@
 //! Experiment harness regenerating every table and figure of the paper.
 //!
-//! Each binary in `src/bin/` reproduces one artefact of §4 (see
-//! EXPERIMENTS.md for the index); the Criterion benches in `benches/`
-//! cover the performance claims. The shared pipeline lives in
-//! [`experiment`] and the text rendering in [`report`].
+//! Each binary in `src/bin/` reproduces one artefact of §4 (the README's
+//! "Reproducing the paper's figures and tables" lists them); the
+//! Criterion benches in `benches/` cover the performance claims. The
+//! shared pipeline lives in [`experiment`] and the text rendering in
+//! [`report`].
 
 pub mod experiment;
 pub mod microbench;

@@ -50,7 +50,8 @@ use crate::string::{IdString, TokenId};
 /// make the readings explicit. [`CutRule::AllOccurrences`] is the default:
 /// it reproduces both the §3.2 worked example and the §4.2 clustering
 /// behaviour (including the no-byte-info "increase the cut weight to
-/// recover three groups" effect), see EXPERIMENTS.md.
+/// recover three groups" effect); the `ablation_cut_rule` repro binary
+/// compares the readings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CutRule {
     /// At least one appearance (in either string) weighs ≥ cut — the most

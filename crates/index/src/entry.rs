@@ -1,7 +1,6 @@
 //! Corpus entries: one ingested, fully preprocessed labelled trace.
 
 use kastio_core::IdString;
-use kastio_quota::ApproxSize;
 use kastio_trace::{PatternSignature, Trace};
 
 /// Dense identifier of an entry inside one [`crate::PatternIndex`].
@@ -68,17 +67,9 @@ const ENTRY_BASE_BYTES: usize = 192;
 ///
 /// Deliberately computable *before* the preprocessing pipeline runs, so
 /// memory admission can refuse an ingest before an entry id is allocated
-/// (a refused ingest must leave no id gap). [`ApproxSize`] for a built
-/// [`IndexEntry`] reports the same figure, so corpus charges taken at
-/// admission always match what a later accounting walk would measure.
+/// (a refused ingest must leave no id gap).
 pub fn entry_footprint_bytes(name: &str, label: &str, trace: &Trace) -> u64 {
     (ENTRY_BASE_BYTES + name.len() + label.len() + trace.len() * OP_COST_BYTES) as u64
-}
-
-impl ApproxSize for IndexEntry {
-    fn approx_size_bytes(&self) -> usize {
-        entry_footprint_bytes(&self.name, &self.label, &self.trace) as usize
-    }
 }
 
 #[cfg(test)]

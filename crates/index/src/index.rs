@@ -495,8 +495,8 @@ impl PatternIndex {
     }
 
     /// Wires the index into a memory budget: charges the resident corpus
-    /// to a `corpus` account, the query memo to a `cache` account, and
-    /// registers the memo as the budget's reclaim target (under
+    /// to a corpus account, the query memo to a memo account, and
+    /// registers the memo's `clear` as the budget's reclaimer (under
     /// pressure the quota clears it, the cheapest memory the index can
     /// give back). After attachment every ingest is *admission
     /// controlled*: an entry whose footprint no longer fits is refused
@@ -509,7 +509,7 @@ impl PatternIndex {
     ///
     /// At most one attachment sticks; later calls are ignored.
     pub fn attach_quota(&self, quota: &MemoryQuota) {
-        let corpus = quota.account("corpus");
+        let corpus = quota.account();
         let preloaded: u64 = self
             .read_corpus()
             .entries
@@ -524,14 +524,14 @@ impl PatternIndex {
                 account.charge(preloaded);
             }
         }
-        self.memo.attach_account(quota.account("cache"));
+        self.memo.attach_account(quota.account());
         let memo = Arc::downgrade(&self.memo);
-        quota.set_reclaimer("cache", move |_wanted| memo.upgrade().map_or(0, |memo| memo.clear()));
+        quota.set_reclaimer(move || memo.upgrade().map_or(0, |memo| memo.clear()));
         // Unreclaimable side: the interner holds memory the index can
         // never give back, so it is charged to a report-only account —
         // counted in the root total (and the `mem_unreclaimable_bytes`
         // gauge) but never a reclaim source.
-        let interner = quota.report_account("interner");
+        let interner = quota.report_account();
         let preinterned = self.lock_interner().approx_bytes() as u64;
         if preinterned > 0 {
             interner.charge(preinterned);

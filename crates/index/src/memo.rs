@@ -43,7 +43,7 @@ use kastio_quota::Account;
 
 use crate::entry::EntryId;
 
-/// Bytes each remembered pair is charged against the `cache` account: a
+/// Bytes each remembered pair is charged against the memo's account: a
 /// round over-estimate of its slot in the record plus its share of the
 /// record's map entry.
 const PAIR_COST_BYTES: u64 = 64;
@@ -210,7 +210,7 @@ impl QueryMemo {
     }
 
     /// Forgets everything, releasing what was charged for it. Returns the
-    /// bytes released: the shape quota reclaimers report back.
+    /// bytes released: the shape the quota's reclaimer reports back.
     pub(crate) fn clear(&self) -> u64 {
         let Generations { young, old } = std::mem::take(&mut *self.lock());
         let freed = young.charged + old.charged;
@@ -308,7 +308,7 @@ mod tests {
     fn zero_capacity_charges_nothing() {
         let quota = MemoryQuota::unlimited();
         let memo = QueryMemo::new(0);
-        memo.attach_account(quota.account("cache"));
+        memo.attach_account(quota.account());
         memo.remember(&query(1), Some(2.0), pairs(0..3));
         assert_eq!(memo.recall(&query(1), ids(0..3)), (None, vec![None; 3]));
         assert_eq!(quota.used(), 0);
@@ -354,7 +354,7 @@ mod tests {
     fn the_account_is_charged_and_released() {
         let quota = MemoryQuota::unlimited();
         let memo = QueryMemo::new(16);
-        memo.attach_account(quota.account("cache"));
+        memo.attach_account(quota.account());
         memo.remember(&query(0), Some(1.0), pairs(0..4));
         assert_eq!(quota.used(), record_bytes(&query(0), 4));
         memo.remember(&query(0), Some(1.0), pairs(0..2));
@@ -371,7 +371,7 @@ mod tests {
     fn rotation_does_not_leak_charges() {
         let quota = MemoryQuota::unlimited();
         let memo = QueryMemo::new(16);
-        memo.attach_account(quota.account("cache"));
+        memo.attach_account(quota.account());
         for n in 0..200 {
             memo.remember(&query(n), Some(1.0), pairs(0..1 + n % 3));
             memo.recall(&query(n / 2), ids(0..3));
@@ -387,7 +387,7 @@ mod tests {
     fn clear_empties_but_keeps_working() {
         let quota = MemoryQuota::unlimited();
         let memo = QueryMemo::new(16);
-        memo.attach_account(quota.account("cache"));
+        memo.attach_account(quota.account());
         memo.remember(&query(0), Some(1.0), pairs(0..2));
         assert!(memo.clear() > 0);
         assert_eq!(memo.len(), 0);
@@ -417,7 +417,7 @@ mod tests {
     fn concurrent_use_stays_consistent() {
         let quota = MemoryQuota::unlimited();
         let memo = QueryMemo::new(64);
-        memo.attach_account(quota.account("cache"));
+        memo.attach_account(quota.account());
         std::thread::scope(|scope| {
             for t in 0..4u32 {
                 let memo = &memo;

@@ -90,7 +90,7 @@ pub(crate) fn span_ns(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Bytes of one in-flight batched request charged against the `buffers`
+/// Bytes of one in-flight batched request charged against the buffers
 /// account, released when the request's reply has been rendered (drop).
 /// Admission is all-or-nothing per line: a line that no longer fits
 /// sheds the whole request. Owns a handle to the account (rather than

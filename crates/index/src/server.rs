@@ -378,7 +378,7 @@ impl Server {
         // One account for every connection's in-flight request buffers:
         // admission is against the *root* budget anyway, and a shared
         // account keeps the STATS story simple.
-        let buffers = self.quota.account("buffers");
+        let buffers = self.quota.account();
         let state = ServeState {
             listener: self.listener,
             index: self.index,

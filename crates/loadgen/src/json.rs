@@ -1,20 +1,9 @@
-//! `kastio bench-diff`: regression gating between two `BENCH_serve.json`
-//! documents.
+//! A minimal JSON reader (the build environment has no serde).
 //!
-//! CI runs the load smoke against the current build, then diffs the fresh
-//! artifact against the committed baseline: for every (scenario, verb)
-//! pair present in both, throughput must not drop — and client-observed
-//! p99 must not grow — beyond a configurable noise band. The comparison
-//! is deliberately coarse (load numbers on shared CI hosts are noisy;
-//! the default band is ±25% and CI uses a wider one), but it turns a
-//! 10× latency regression from a number someone might read into a red
-//! build.
-//!
-//! The JSON reader is a minimal recursive-descent parser (the build
-//! environment has no serde); it handles the full JSON grammar, not just
-//! the shapes our own writer emits, so hand-edited baselines still load.
-
-use std::collections::BTreeMap;
+//! A recursive-descent parser for the full JSON grammar, not just the
+//! shapes [`crate::Report::to_json`] emits, so hand-edited documents
+//! load too. The load report's round-trip test reads through it, and so
+//! do the tests of the end-to-end benchmark (`kbench/`).
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -238,156 +227,9 @@ impl Parser<'_> {
     }
 }
 
-/// One compared metric of one (scenario, verb) pair.
-#[derive(Debug, Clone)]
-pub struct DiffRow {
-    /// Scenario name.
-    pub scenario: String,
-    /// Verb within the scenario.
-    pub verb: String,
-    /// `throughput_rps` or `p99_us`.
-    pub metric: &'static str,
-    /// The baseline document's value.
-    pub baseline: f64,
-    /// The new document's value.
-    pub new: f64,
-    /// Whether the movement left the noise band in the bad direction.
-    pub regressed: bool,
-}
-
-/// The full comparison of two bench documents.
-#[derive(Debug, Clone)]
-pub struct DiffReport {
-    /// Fractional noise band the rows were judged against (0.25 = ±25%).
-    pub band: f64,
-    /// Every compared metric, in scenario/verb order.
-    pub rows: Vec<DiffRow>,
-}
-
-impl DiffReport {
-    /// The rows that regressed beyond the band.
-    pub fn regressions(&self) -> Vec<&DiffRow> {
-        self.rows.iter().filter(|row| row.regressed).collect()
-    }
-
-    /// Human-readable table: one line per row, regressions marked.
-    pub fn render(&self) -> String {
-        let mut out = format!("bench-diff (band ±{:.0}%)\n", self.band * 100.0);
-        for row in &self.rows {
-            let change = if row.baseline.abs() > f64::EPSILON {
-                format!("{:+.1}%", (row.new / row.baseline - 1.0) * 100.0)
-            } else {
-                "n/a".to_string()
-            };
-            out.push_str(&format!(
-                "  {} {}/{:<7} {:<14} {:>10.1} -> {:>10.1}  ({change})\n",
-                if row.regressed { "REGRESSION" } else { "ok        " },
-                row.scenario,
-                row.verb,
-                row.metric,
-                row.baseline,
-                row.new,
-            ));
-        }
-        out
-    }
-}
-
-/// A bench document indexed as `(scenario, verb) -> (throughput_rps, p99_us)`.
-type VerbMetrics = BTreeMap<(String, String), (f64, f64)>;
-
-fn per_verb_metrics(report: &Json) -> Result<VerbMetrics, String> {
-    let scenarios = report
-        .get("scenarios")
-        .and_then(Json::as_arr)
-        .ok_or("document has no `scenarios` array (not a BENCH_serve.json?)")?;
-    let mut metrics = BTreeMap::new();
-    for scenario in scenarios {
-        let name = scenario
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or("scenario without a `name`")?
-            .to_string();
-        let Some(Json::Obj(verbs)) = scenario.get("per_verb") else {
-            return Err(format!("scenario `{name}` has no `per_verb` object"));
-        };
-        for (verb, stats) in verbs {
-            let field = |key: &str| {
-                stats.get(key).and_then(Json::as_f64).ok_or_else(|| {
-                    format!("scenario `{name}` verb `{verb}` has no numeric `{key}`")
-                })
-            };
-            metrics
-                .insert((name.clone(), verb.clone()), (field("throughput_rps")?, field("p99_us")?));
-        }
-    }
-    Ok(metrics)
-}
-
-/// Compares a fresh bench document against a baseline.
-///
-/// Regression rules, per (scenario, verb) pair present in both documents:
-/// throughput below `baseline × (1 − band)`, or p99 above
-/// `baseline × (1 + band)`. Pairs present on only one side are ignored
-/// (scenario sets evolve); a baseline with *no* overlapping pairs is an
-/// error, because a diff that compared nothing must not pass CI.
-///
-/// # Errors
-///
-/// Returns a message when either document is not a bench report or the
-/// overlap is empty.
-pub fn diff_reports(new: &Json, baseline: &Json, band: f64) -> Result<DiffReport, String> {
-    let new_metrics = per_verb_metrics(new)?;
-    let base_metrics = per_verb_metrics(baseline)?;
-    let mut rows = Vec::new();
-    for ((scenario, verb), (base_rps, base_p99)) in &base_metrics {
-        let Some((new_rps, new_p99)) = new_metrics.get(&(scenario.clone(), verb.clone())) else {
-            continue;
-        };
-        rows.push(DiffRow {
-            scenario: scenario.clone(),
-            verb: verb.clone(),
-            metric: "throughput_rps",
-            baseline: *base_rps,
-            new: *new_rps,
-            regressed: *new_rps < base_rps * (1.0 - band),
-        });
-        rows.push(DiffRow {
-            scenario: scenario.clone(),
-            verb: verb.clone(),
-            metric: "p99_us",
-            baseline: *base_p99,
-            new: *new_p99,
-            regressed: *new_p99 > base_p99 * (1.0 + band),
-        });
-    }
-    if rows.is_empty() {
-        return Err("no (scenario, verb) pair is present in both documents".to_string());
-    }
-    Ok(DiffReport { band, rows })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn bench_doc(query_rps: f64, query_p99: f64) -> Json {
-        parse_json(&format!(
-            r#"{{
-              "suite": "serve_load",
-              "scenarios": [
-                {{
-                  "name": "read-heavy",
-                  "per_verb": {{
-                    "QUERY": {{"count": 100, "throughput_rps": {query_rps}, "p99_us": {query_p99}}},
-                    "INGEST": {{"count": 10, "throughput_rps": 50.0, "p99_us": 800.0}}
-                  }}
-                }}
-              ]
-            }}"#
-        ))
-        .expect("test document parses")
-    }
 
     #[test]
     fn parser_handles_the_grammar() {
@@ -434,49 +276,12 @@ mod tests {
             )],
         };
         let doc = parse_json(&report.to_json()).expect("writer output parses");
-        let (rps, p99) = per_verb_metrics(&doc).unwrap()[&("read-heavy".into(), "QUERY".into())];
-        assert!((rps - 1.0).abs() < 1e-9);
-        assert!(p99 >= 1_000.0);
-    }
-
-    #[test]
-    fn identical_documents_pass() {
-        let doc = bench_doc(1000.0, 500.0);
-        let diff = diff_reports(&doc, &doc, 0.25).unwrap();
-        assert_eq!(diff.rows.len(), 4, "two verbs x two metrics");
-        assert!(diff.regressions().is_empty(), "{}", diff.render());
-    }
-
-    #[test]
-    fn a_10x_p99_regression_is_flagged() {
-        let baseline = bench_doc(1000.0, 500.0);
-        let slow = bench_doc(1000.0, 5000.0);
-        let diff = diff_reports(&slow, &baseline, 0.25).unwrap();
-        let regressions = diff.regressions();
-        assert_eq!(regressions.len(), 1, "{}", diff.render());
-        assert_eq!(regressions[0].metric, "p99_us");
-        assert_eq!(regressions[0].verb, "QUERY");
-        assert!(diff.render().contains("REGRESSION"));
-    }
-
-    #[test]
-    fn a_throughput_collapse_is_flagged_and_noise_is_not() {
-        let baseline = bench_doc(1000.0, 500.0);
-        let noisy = bench_doc(850.0, 590.0); // −15% rps, +18% p99: in band
-        assert!(diff_reports(&noisy, &baseline, 0.25).unwrap().regressions().is_empty());
-        let collapsed = bench_doc(200.0, 500.0);
-        let diff = diff_reports(&collapsed, &baseline, 0.25).unwrap();
-        assert_eq!(diff.regressions()[0].metric, "throughput_rps");
-    }
-
-    #[test]
-    fn disjoint_documents_are_an_error() {
-        let a = bench_doc(1000.0, 500.0);
-        let mut b_text = r#"{"scenarios": [{"name": "other", "per_verb": {}}]}"#.to_string();
-        let b = parse_json(&b_text).unwrap();
-        assert!(diff_reports(&a, &b, 0.25).unwrap_err().contains("no (scenario, verb) pair"));
-        b_text = r#"{"hello": 1}"#.to_string();
-        let not_bench = parse_json(&b_text).unwrap();
-        assert!(diff_reports(&a, &not_bench, 0.25).is_err());
+        let query = doc.get("scenarios").and_then(Json::as_arr).unwrap()[0]
+            .get("per_verb")
+            .and_then(|verbs| verbs.get("QUERY"))
+            .expect("the QUERY row round-trips");
+        let field = |key: &str| query.get(key).and_then(Json::as_f64).unwrap();
+        assert!((field("throughput_rps") - 1.0).abs() < 1e-9);
+        assert!(field("p99_us") >= 1_000.0);
     }
 }

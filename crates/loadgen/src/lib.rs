@@ -24,7 +24,8 @@
 //! there). Every client
 //! opens with the `HELLO` handshake and refuses to run against a server
 //! speaking a different protocol version. `kastio loadgen` fronts [`run`]
-//! on the command line and writes the [`Report`] to `BENCH_serve.json`.
+//! on the command line and writes the [`Report`] to `--out` (default
+//! `loadgen.json`).
 //!
 //! Reproducibility: client `c`'s request stream is the pure function
 //! `ScenarioGen::new(kind, seed, c)` of the configuration — wall-clock
@@ -32,8 +33,8 @@
 //! renders those streams as text without touching the network.
 
 pub mod client;
-pub mod diff;
 pub mod histogram;
+pub mod json;
 pub mod report;
 pub mod scenario;
 pub mod scrape;
@@ -49,8 +50,8 @@ use kastio_index::protocol::read_reply;
 use kastio_index::{IndexOptions, PatternIndex, Server, WalManager};
 
 pub use client::{run_scenario, ScenarioRun, VerbStats};
-pub use diff::{diff_reports, parse_json, DiffReport, DiffRow, Json};
 pub use histogram::Histogram;
+pub use json::{parse_json, Json};
 pub use report::{Report, ScenarioReport, ServerLatency, VerbReport};
 pub use scenario::{dry_run_trace, Op, ScenarioGen, ScenarioKind, TracePool};
 pub use scrape::{latency_delta, parse_latency_buckets, LatencyBuckets};

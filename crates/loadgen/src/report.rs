@@ -1,7 +1,7 @@
-//! The `BENCH_serve.json` document: per-scenario, per-verb throughput
-//! and latency quantiles plus the server-side STATS counter deltas and
-//! gauge after-values, rendered with a hand-rolled JSON writer (the
-//! build environment has no serde).
+//! The load report `kastio loadgen` writes: per-scenario, per-verb
+//! throughput and latency quantiles plus the server-side STATS counter
+//! deltas and gauge after-values, rendered with a hand-rolled JSON
+//! writer (the build environment has no serde).
 
 use std::collections::BTreeMap;
 
@@ -143,7 +143,7 @@ impl ScenarioReport {
     }
 }
 
-/// The whole `BENCH_serve.json` document.
+/// The whole load report.
 #[derive(Debug, Clone)]
 pub struct Report {
     /// Scenario RNG seed (rerun with the same seed for comparable runs).

@@ -457,8 +457,8 @@ impl ScenarioGen {
 /// Renders the first `ops_per_client` operations of every client's
 /// stream, verbatim wire text under per-client headers. Two calls with
 /// equal `(kind, seed, clients, ops_per_client)` return identical
-/// strings — the reproducibility contract `BENCH_serve.json` comparisons
-/// rest on, pinned by `tests/loadgen_determinism.rs`.
+/// strings — the reproducibility contract that makes two load reports
+/// comparable, pinned by `tests/loadgen_determinism.rs`.
 pub fn dry_run_trace(
     kind: ScenarioKind,
     seed: u64,

@@ -1,41 +1,41 @@
 //! # kastio-quota
 //!
-//! A hierarchical **byte-account memory quota**, modeled on arti's
-//! `tor-memquota`: one root budget (e.g. from `kastio serve
-//! --max-memory-bytes`) split into named child [`Account`]s (corpus,
-//! kernel cache, in-flight request buffers, …). Subsystems *charge*
-//! bytes as they allocate and *release* them as they free; the tracker
-//! never allocates on behalf of anyone — it is pure accounting, which is
-//! what makes it dependency-free and safe to consult from any thread.
+//! A byte-account **memory quota**, modeled on arti's `tor-memquota`:
+//! one root budget (e.g. from `kastio serve --max-memory-bytes`) shared
+//! by the [`Account`]s of the daemon's subsystems (corpus, query memo,
+//! in-flight request buffers, interner). Subsystems *charge* bytes as
+//! they allocate and *release* them as they free; the tracker never
+//! allocates on behalf of anyone — it is pure accounting, which is what
+//! makes it dependency-free and safe to consult from any thread.
 //!
 //! Two admission styles:
 //!
 //! - [`Account::try_charge`] is **strict admission**: it either reserves
 //!   the bytes (the root total never exceeds the limit through this
 //!   path — it is a compare-and-swap loop, not a blind add) or refuses,
-//!   after giving registered reclaimers one chance to make room. Request
+//!   after giving the reclaimer one chance to make room. Request
 //!   buffers and corpus growth use this, so the caller can shed load
 //!   (`ERR busy reason=memory`) instead of OOMing.
 //! - [`Account::charge`] is **unconditional**: the allocation already
-//!   happened (a cache insert, a corpus preload). Crossing the
-//!   high-water mark (7/8 of the limit) triggers a reclaim pass that
-//!   asks the *greediest* reclaimable account first to free bytes until
-//!   usage is back under the low-water mark (3/4) — so unconditional
-//!   charges ride on the 1/8 headroom the watermarks keep clear.
+//!   happened (a memo record, a corpus preload). Crossing the
+//!   high-water mark (7/8 of the limit) triggers a reclaim pass, which
+//!   runs the reclaimer if usage is above the low-water mark (3/4) — so
+//!   unconditional charges ride on the 1/8 headroom the watermarks keep
+//!   clear.
 //!
 //! [`MemoryQuota::report_account`] opens a **report-only** account for
 //! memory the process can never give back (interned token tables):
 //! its charges count toward the root total and
-//! a separate [`MemoryQuota::unreclaimable`] gauge, and it can never
-//! have a reclaimer — so operators can see how much of the budget is
+//! a separate [`MemoryQuota::unreclaimable`] gauge, and no reclaim pass
+//! can shrink them — so operators can see how much of the budget is
 //! permanently spoken for.
 //!
-//! Reclaim callbacks ([`MemoryQuota::set_reclaimer`]) free memory on
-//! their own (e.g. clear a cache) and report the bytes they
-//! released via their own [`Account::release`] calls; the pass observes
-//! progress through the account's usage counter. A quota built without a
-//! limit ([`MemoryQuota::unlimited`]) admits everything and never
-//! reclaims, so library users pay only a relaxed atomic add.
+//! The reclaim callback ([`MemoryQuota::set_reclaimer`]; the index
+//! registers its query memo's `clear`) frees memory on its own and
+//! reports the bytes it released via its own [`Account::release`]
+//! calls. A quota built without a limit ([`MemoryQuota::unlimited`])
+//! admits everything and never reclaims, so library users pay only a
+//! relaxed atomic add.
 //!
 //! # Examples
 //!
@@ -43,7 +43,7 @@
 //! use kastio_quota::MemoryQuota;
 //!
 //! let quota = MemoryQuota::new(Some(1024));
-//! let buffers = quota.account("buffers");
+//! let buffers = quota.account();
 //! assert!(buffers.try_charge(1000), "fits the budget");
 //! assert!(!buffers.try_charge(100), "would exceed it");
 //! buffers.release(1000);
@@ -51,70 +51,20 @@
 //! ```
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, Weak};
+use std::sync::{Arc, OnceLock};
 
-/// Approximate heap footprint of a value, in bytes.
-///
-/// "Approximate" is the contract: implementations estimate the dominant
-/// allocation (string bytes, vector backing stores) and may ignore
-/// allocator slack and small fixed overheads. Quota accounting needs
-/// consistency (the same value charges and releases the same number)
-/// more than it needs exactness.
-pub trait ApproxSize {
-    /// Estimated bytes this value keeps alive, including its own
-    /// inline size where that is the dominant term.
-    fn approx_size_bytes(&self) -> usize;
-}
-
-impl ApproxSize for str {
-    fn approx_size_bytes(&self) -> usize {
-        self.len()
-    }
-}
-
-impl ApproxSize for String {
-    fn approx_size_bytes(&self) -> usize {
-        self.capacity() + std::mem::size_of::<String>()
-    }
-}
-
-impl ApproxSize for [u8] {
-    fn approx_size_bytes(&self) -> usize {
-        self.len()
-    }
-}
-
-impl<T: ApproxSize + ?Sized> ApproxSize for &T {
-    fn approx_size_bytes(&self) -> usize {
-        (**self).approx_size_bytes()
-    }
-}
-
-/// Backing-store bytes of a `Vec`, by element size — the building block
-/// for `ApproxSize` impls over containers of plain data.
-pub fn vec_backing_bytes<T>(v: &[T]) -> usize {
-    std::mem::size_of_val(v)
-}
-
-/// A reclaim callback: asked to free roughly `target` bytes, frees what
-/// it can (releasing them through its own [`Account`] handle) and
-/// returns its best estimate of the bytes actually freed.
-type Reclaimer = Box<dyn Fn(u64) -> u64 + Send + Sync>;
+/// The reclaim callback: frees what it can (releasing the bytes through
+/// its own [`Account`] handle) and returns its best estimate of the
+/// bytes actually freed.
+type Reclaimer = Box<dyn Fn() -> u64 + Send + Sync>;
 
 struct AccountInner {
-    name: &'static str,
     used: AtomicU64,
     /// Report-only accounts track bytes the process cannot give back
-    /// (interned tokens, memoised self-kernels). Their usage counts
-    /// toward the root total *and* the [`MemoryQuota::unreclaimable`]
-    /// gauge, and they can never have a reclaimer.
+    /// (interned tokens). Their usage counts toward the root total *and*
+    /// the [`MemoryQuota::unreclaimable`] gauge.
     report_only: bool,
-    quota: Weak<QuotaInner>,
-}
-
-struct AccountEntry {
-    inner: Weak<AccountInner>,
-    reclaimer: Option<Reclaimer>,
+    quota: Arc<QuotaInner>,
 }
 
 struct QuotaInner {
@@ -122,7 +72,7 @@ struct QuotaInner {
     limit: u64,
     /// Crossing this on an unconditional charge triggers a reclaim pass.
     high_water: u64,
-    /// A reclaim pass stops once usage is back under this.
+    /// A reclaim pass runs the reclaimer only while usage is above this.
     low_water: u64,
     used: AtomicU64,
     /// Bytes charged through report-only accounts: memory that is live
@@ -132,7 +82,7 @@ struct QuotaInner {
     /// Single-flight guard: one reclaim pass at a time, and a reclaimer
     /// releasing bytes can never recurse into another pass.
     reclaiming: AtomicBool,
-    accounts: Mutex<Vec<AccountEntry>>,
+    reclaimer: OnceLock<Reclaimer>,
 }
 
 /// The root byte budget. Cheap to clone (an `Arc` handle); all clones
@@ -165,7 +115,7 @@ impl MemoryQuota {
                 unreclaimable: AtomicU64::new(0),
                 reclaims: AtomicU64::new(0),
                 reclaiming: AtomicBool::new(false),
-                accounts: Mutex::new(Vec::new()),
+                reclaimer: OnceLock::new(),
             }),
         }
     }
@@ -175,51 +125,34 @@ impl MemoryQuota {
         MemoryQuota::new(None)
     }
 
-    /// Opens a named child account. Names are labels for diagnostics and
-    /// [`MemoryQuota::set_reclaimer`]; opening the same name twice makes
-    /// two independent accounts.
-    pub fn account(&self, name: &'static str) -> Account {
-        self.open_account(name, false)
+    /// Opens an account. Every call makes a new, independent account.
+    pub fn account(&self) -> Account {
+        self.open_account(false)
     }
 
-    /// Opens a **report-only** child account for memory the process can
-    /// never give back (interned token tables).
-    /// Charges count toward [`MemoryQuota::used`] — so admission and the
-    /// watermarks see the true footprint — and toward the
-    /// [`MemoryQuota::unreclaimable`] gauge. A report-only account can
-    /// never have a reclaimer: [`MemoryQuota::set_reclaimer`] ignores it.
-    pub fn report_account(&self, name: &'static str) -> Account {
-        self.open_account(name, true)
+    /// Opens a **report-only** account for memory the process can never
+    /// give back (interned token tables). Charges count toward
+    /// [`MemoryQuota::used`] — so admission and the watermarks see the
+    /// true footprint — and toward the [`MemoryQuota::unreclaimable`]
+    /// gauge.
+    pub fn report_account(&self) -> Account {
+        self.open_account(true)
     }
 
-    fn open_account(&self, name: &'static str, report_only: bool) -> Account {
-        let inner = Arc::new(AccountInner {
-            name,
-            used: AtomicU64::new(0),
-            report_only,
-            quota: Arc::downgrade(&self.inner),
-        });
-        lock_accounts(&self.inner.accounts)
-            .push(AccountEntry { inner: Arc::downgrade(&inner), reclaimer: None });
-        Account { inner }
-    }
-
-    /// Registers the reclaim callback for the named account (the most
-    /// recently opened one, if the name was reused). Under pressure the
-    /// pass calls the reclaimers of the greediest accounts first.
-    pub fn set_reclaimer(
-        &self,
-        name: &'static str,
-        reclaim: impl Fn(u64) -> u64 + Send + Sync + 'static,
-    ) {
-        let mut accounts = lock_accounts(&self.inner.accounts);
-        if let Some(entry) = accounts
-            .iter_mut()
-            .rev()
-            .find(|entry| entry.inner.upgrade().is_some_and(|a| a.name == name && !a.report_only))
-        {
-            entry.reclaimer = Some(Box::new(reclaim));
+    fn open_account(&self, report_only: bool) -> Account {
+        Account {
+            inner: Arc::new(AccountInner {
+                used: AtomicU64::new(0),
+                report_only,
+                quota: Arc::clone(&self.inner),
+            }),
         }
+    }
+
+    /// Registers the reclaim callback that runs under pressure. The
+    /// first registration sticks; later calls are ignored.
+    pub fn set_reclaimer(&self, reclaim: impl Fn() -> u64 + Send + Sync + 'static) {
+        let _ = self.inner.reclaimer.set(Box::new(reclaim));
     }
 
     /// Total bytes currently charged across all accounts.
@@ -246,15 +179,10 @@ impl MemoryQuota {
     }
 }
 
-fn lock_accounts(accounts: &Mutex<Vec<AccountEntry>>) -> MutexGuard<'_, Vec<AccountEntry>> {
-    accounts.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
 impl QuotaInner {
     /// Runs one reclaim pass if usage is at/over `trigger` and no pass is
-    /// already running: asks reclaimable accounts, greediest first, to
-    /// free bytes until the total is back under the low-water mark or no
-    /// reclaimer makes progress.
+    /// already running: calls the reclaimer if usage is above the
+    /// low-water mark.
     fn reclaim_down_from(&self, trigger: u64) {
         if self.limit == u64::MAX || self.used.load(Ordering::Relaxed) < trigger {
             return;
@@ -262,32 +190,16 @@ impl QuotaInner {
         if self.reclaiming.swap(true, Ordering::Acquire) {
             return; // a pass is already running (possibly ours, reentrantly)
         }
-        let accounts = lock_accounts(&self.accounts);
-        let mut ranked: Vec<(u64, usize)> = accounts
-            .iter()
-            .enumerate()
-            .filter(|(_, entry)| entry.reclaimer.is_some())
-            .filter_map(|(i, entry)| {
-                entry.inner.upgrade().map(|a| (a.used.load(Ordering::Relaxed), i))
-            })
-            .collect();
-        ranked.sort_unstable_by_key(|&(used, _)| std::cmp::Reverse(used));
-        for (_, i) in ranked {
-            let used = self.used.load(Ordering::Relaxed);
-            if used <= self.low_water {
-                break;
-            }
-            if let Some(reclaim) = &accounts[i].reclaimer {
-                if reclaim(used - self.low_water) > 0 {
-                    self.reclaims.fetch_add(1, Ordering::Relaxed);
-                }
+        if let Some(reclaim) = self.reclaimer.get() {
+            if self.used.load(Ordering::Relaxed) > self.low_water && reclaim() > 0 {
+                self.reclaims.fetch_add(1, Ordering::Relaxed);
             }
         }
         self.reclaiming.store(false, Ordering::Release);
     }
 }
 
-/// A named child of a [`MemoryQuota`]. Clones share the same account.
+/// An account of a [`MemoryQuota`]. Clones share the same account.
 #[derive(Clone)]
 pub struct Account {
     inner: Arc<AccountInner>,
@@ -295,16 +207,11 @@ pub struct Account {
 
 impl std::fmt::Debug for Account {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Account").field("name", &self.name()).field("used", &self.used()).finish()
+        f.debug_struct("Account").field("used", &self.used()).finish()
     }
 }
 
 impl Account {
-    /// The label this account was opened under.
-    pub fn name(&self) -> &'static str {
-        self.inner.name
-    }
-
     /// Bytes currently charged to this account.
     pub fn used(&self) -> u64 {
         self.inner.used.load(Ordering::Relaxed)
@@ -313,14 +220,13 @@ impl Account {
     /// Unconditionally charges `bytes` (the allocation already exists),
     /// then reclaims if the root total crossed the high-water mark.
     pub fn charge(&self, bytes: u64) {
+        let quota = &self.inner.quota;
         self.inner.used.fetch_add(bytes, Ordering::Relaxed);
-        if let Some(quota) = self.inner.quota.upgrade() {
-            quota.used.fetch_add(bytes, Ordering::Relaxed);
-            if self.inner.report_only {
-                quota.unreclaimable.fetch_add(bytes, Ordering::Relaxed);
-            }
-            quota.reclaim_down_from(quota.high_water);
+        quota.used.fetch_add(bytes, Ordering::Relaxed);
+        if self.inner.report_only {
+            quota.unreclaimable.fetch_add(bytes, Ordering::Relaxed);
         }
+        quota.reclaim_down_from(quota.high_water);
     }
 
     /// Admission: reserves `bytes` if — after at most one reclaim pass —
@@ -329,11 +235,7 @@ impl Account {
     /// the total past the limit, even raced from many threads.
     #[must_use]
     pub fn try_charge(&self, bytes: u64) -> bool {
-        let Some(quota) = self.inner.quota.upgrade() else {
-            // The root is gone; nothing left to bound.
-            self.inner.used.fetch_add(bytes, Ordering::Relaxed);
-            return true;
-        };
+        let quota = &self.inner.quota;
         let mut reclaimed = false;
         loop {
             let used = quota.used.load(Ordering::Relaxed);
@@ -341,7 +243,7 @@ impl Account {
                 if reclaimed {
                     return false;
                 }
-                // One chance: ask the reclaimers to make room, then
+                // One chance: ask the reclaimer to make room, then
                 // re-evaluate from the top.
                 quota.reclaim_down_from(0);
                 reclaimed = true;
@@ -364,12 +266,11 @@ impl Account {
     /// Releases `bytes` previously charged (saturating, so a conservative
     /// over-release cannot wrap the counters).
     pub fn release(&self, bytes: u64) {
+        let quota = &self.inner.quota;
         saturating_sub(&self.inner.used, bytes);
-        if let Some(quota) = self.inner.quota.upgrade() {
-            saturating_sub(&quota.used, bytes);
-            if self.inner.report_only {
-                saturating_sub(&quota.unreclaimable, bytes);
-            }
+        saturating_sub(&quota.used, bytes);
+        if self.inner.report_only {
+            saturating_sub(&quota.unreclaimable, bytes);
         }
     }
 }
@@ -392,8 +293,8 @@ mod tests {
     #[test]
     fn charge_and_release_roundtrip_the_totals() {
         let quota = MemoryQuota::new(Some(4096));
-        let a = quota.account("a");
-        let b = quota.account("b");
+        let a = quota.account();
+        let b = quota.account();
         a.charge(100);
         b.charge(200);
         assert_eq!(a.used(), 100);
@@ -408,7 +309,7 @@ mod tests {
     #[test]
     fn try_charge_enforces_the_limit_exactly() {
         let quota = MemoryQuota::new(Some(1000));
-        let a = quota.account("a");
+        let a = quota.account();
         assert!(a.try_charge(600));
         assert!(a.try_charge(400), "exactly at the limit is admitted");
         assert!(!a.try_charge(1), "one past the limit is refused");
@@ -420,7 +321,7 @@ mod tests {
     #[test]
     fn release_saturates_instead_of_wrapping() {
         let quota = MemoryQuota::new(Some(1000));
-        let a = quota.account("a");
+        let a = quota.account();
         a.charge(10);
         a.release(10_000);
         assert_eq!(a.used(), 0);
@@ -431,10 +332,10 @@ mod tests {
     #[test]
     fn unlimited_quota_admits_everything_and_never_reclaims() {
         let quota = MemoryQuota::unlimited();
-        let a = quota.account("a");
+        let a = quota.account();
         let calls = Arc::new(AtomicU64::new(0));
         let seen = Arc::clone(&calls);
-        quota.set_reclaimer("a", move |_| {
+        quota.set_reclaimer(move || {
             seen.fetch_add(1, Ordering::Relaxed);
             0
         });
@@ -442,17 +343,17 @@ mod tests {
         a.charge(u64::MAX / 4);
         assert_eq!(quota.limit(), None);
         assert_eq!(quota.reclaims(), 0);
-        assert_eq!(calls.load(Ordering::Relaxed), 0, "reclaimers never run unlimited");
+        assert_eq!(calls.load(Ordering::Relaxed), 0, "the reclaimer never runs unlimited");
     }
 
     /// A reclaimable account backed by a shared "cache size" cell: the
-    /// reclaimer empties the cell and releases the bytes, like the kernel
-    /// cache clearing its stripes.
-    fn cache_account(quota: &MemoryQuota, name: &'static str) -> (Account, Arc<AtomicU64>) {
-        let account = quota.account(name);
+    /// reclaimer empties the cell and releases the bytes, like the query
+    /// memo clearing its generations.
+    fn cache_account(quota: &MemoryQuota) -> (Account, Arc<AtomicU64>) {
+        let account = quota.account();
         let held = Arc::new(AtomicU64::new(0));
         let (reclaim_account, reclaim_held) = (account.clone(), Arc::clone(&held));
-        quota.set_reclaimer(name, move |_target| {
+        quota.set_reclaimer(move || {
             let freed = reclaim_held.swap(0, Ordering::Relaxed);
             reclaim_account.release(freed);
             freed
@@ -463,10 +364,10 @@ mod tests {
     #[test]
     fn admission_pressure_reclaims_and_then_admits() {
         let quota = MemoryQuota::new(Some(1000));
-        let (cache, held) = cache_account(&quota, "cache");
+        let (cache, held) = cache_account(&quota);
         cache.charge(900);
         held.store(900, Ordering::Relaxed);
-        let buffers = quota.account("buffers");
+        let buffers = quota.account();
         assert!(buffers.try_charge(500), "reclaim made room");
         assert_eq!(quota.used(), 500);
         assert!(quota.reclaims() >= 1);
@@ -474,22 +375,20 @@ mod tests {
     }
 
     #[test]
-    fn reclaim_asks_the_greediest_account_first() {
+    fn an_unconditional_charge_over_the_high_water_mark_reclaims() {
         let quota = MemoryQuota::new(Some(1000));
-        let (small, small_held) = cache_account(&quota, "small");
-        let (big, big_held) = cache_account(&quota, "big");
-        small.charge(100);
-        small_held.store(100, Ordering::Relaxed);
-        big.charge(700);
-        big_held.store(700, Ordering::Relaxed);
-        // 800 used; charging 150 more crosses the 875 high-water mark and
-        // triggers a pass. Emptying `big` alone lands usage at 250, under
-        // the 750 low-water mark, so `small` must be left untouched.
-        let other = quota.account("other");
-        other.charge(150);
-        assert_eq!(big.used(), 0, "greediest account reclaimed first");
-        assert_eq!(small.used(), 100, "pass stopped once under the low-water mark");
-        assert_eq!(quota.used(), 250);
+        let (cache, held) = cache_account(&quota);
+        quota.set_reclaimer(|| unreachable!("the first registration sticks"));
+        cache.charge(800);
+        held.store(800, Ordering::Relaxed);
+        assert_eq!(quota.reclaims(), 0, "800 is under the 875 high-water mark");
+        // 900 crosses it: the pass empties the cache, which lands usage
+        // under the 750 low-water mark.
+        let other = quota.account();
+        other.charge(100);
+        assert_eq!(cache.used(), 0, "the reclaimer ran");
+        assert_eq!(quota.used(), 100);
+        assert_eq!(quota.reclaims(), 1);
     }
 
     #[test]
@@ -498,7 +397,7 @@ mod tests {
         let admitted = Arc::new(AtomicU64::new(0));
         std::thread::scope(|scope| {
             for _ in 0..8 {
-                let account = quota.account("buffers");
+                let account = quota.account();
                 let admitted = Arc::clone(&admitted);
                 scope.spawn(move || {
                     for _ in 0..1000 {
@@ -516,8 +415,8 @@ mod tests {
     #[test]
     fn report_accounts_count_toward_used_and_unreclaimable() {
         let quota = MemoryQuota::new(Some(4096));
-        let interner = quota.report_account("interner");
-        let buffers = quota.account("buffers");
+        let interner = quota.report_account();
+        let buffers = quota.account();
         interner.charge(300);
         buffers.charge(100);
         assert_eq!(quota.used(), 400, "report-only bytes are real bytes");
@@ -530,29 +429,13 @@ mod tests {
     #[test]
     fn report_accounts_never_get_a_reclaimer() {
         let quota = MemoryQuota::new(Some(1000));
-        let registry = quota.report_account("registry");
-        registry.charge(990);
-        let calls = Arc::new(AtomicU64::new(0));
-        let seen = Arc::clone(&calls);
-        quota.set_reclaimer("registry", move |_| {
-            seen.fetch_add(1, Ordering::Relaxed);
-            0
-        });
-        // Admission pressure runs a pass, but the report-only account is
-        // not a reclaim source, so nothing can make room.
-        let buffers = quota.account("buffers");
-        assert!(!buffers.try_charge(100));
-        assert_eq!(calls.load(Ordering::Relaxed), 0, "report-only accounts are unreclaimable");
-        assert_eq!(registry.used(), 990);
-    }
-
-    #[test]
-    fn approx_sizes_are_sane() {
-        assert_eq!("abcd".approx_size_bytes(), 4);
-        let s = String::from("hello");
-        assert!(s.approx_size_bytes() >= 5 + std::mem::size_of::<String>());
-        let bytes: &[u8] = &[0, 1, 2];
-        assert_eq!(bytes.approx_size_bytes(), 3);
-        assert_eq!(vec_backing_bytes(&[0_u64; 4]), 32);
+        let (cache, _held) = cache_account(&quota);
+        let interner = quota.report_account();
+        interner.charge(990);
+        // Admission pressure runs a pass, but the reclaimer frees only
+        // what it holds, and the report-only bytes are not its to free.
+        assert!(!cache.try_charge(100));
+        assert_eq!(quota.reclaims(), 0, "nothing was reclaimed");
+        assert_eq!(interner.used(), 990);
     }
 }

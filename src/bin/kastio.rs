@@ -17,7 +17,6 @@
 //! kastio loadgen  [--scenario NAME] [--clients N] [--duration 2s]
 //!                 [--seed N] [--addr HOST:PORT] [--out FILE]
 //!                 [--dry-run] [--ops N] [--max-memory-bytes N]
-//! kastio bench-diff <new.json> <baseline.json> [--band PCT]
 //! kastio help     [command]
 //! kastio --version
 //! ```
@@ -28,11 +27,11 @@
 //! clustering with purity/ARI against the manifest categories. `serve`
 //! (Linux only) keeps a corpus in memory behind a TCP line protocol and
 //! `query` is its client — see the `kastio_index` crate. `loadgen`
-//! drives seeded, reproducible request mixes against the daemon (self-spawned unless
-//! `--addr` points at one) and writes per-verb throughput/latency —
-//! client-side and, via `METRICS` scrapes, server-side — plus STATS
-//! counter deltas and gauge after-values to `BENCH_serve.json`; `bench-diff` compares two such
-//! artifacts and fails beyond a noise band — see `kastio_loadgen`.
+//! drives seeded, reproducible request mixes against the daemon
+//! (self-spawned unless `--addr` points at one) and writes per-verb
+//! throughput/latency — client-side and, via `METRICS` scrapes,
+//! server-side — plus STATS counter deltas and gauge after-values to
+//! `--out` (default `loadgen.json`) — see `kastio_loadgen`.
 
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
@@ -68,7 +67,6 @@ usage:
   kastio loadgen  [--scenario NAME] [--clients N] [--duration 2s]
                   [--seed N] [--addr HOST:PORT] [--out FILE]
                   [--dry-run] [--ops N] [--max-memory-bytes N]
-  kastio bench-diff <new.json> <baseline.json> [--band PCT]
   kastio help     [command]
   kastio --version
 ";
@@ -197,7 +195,7 @@ const HELP_TOPICS: &[(&str, &str)] = &[
          seconds), then writes per-verb throughput, p50/p95/p99 latency\n\
          (client-side and, scraped from METRICS fences around each\n\
          scenario, server-side) and the server-side STATS counter deltas\n\
-         and gauge after-values to --out (default BENCH_serve.json).\n\
+         and gauge after-values to --out (default loadgen.json).\n\
          Without --addr a server is spawned in-process\n\
          on an ephemeral port and shut down afterwards; with --addr the\n\
          target daemon is left running.\n\
@@ -207,16 +205,9 @@ const HELP_TOPICS: &[(&str, &str)] = &[
          instead of touching the network.\n",
     ),
     (
-        "bench-diff",
-        "kastio bench-diff <new.json> <baseline.json> [--band PCT]\n\n\
-         Compares two `kastio loadgen` artifacts. For every (scenario,\n\
-         verb) pair present in both, throughput must not drop — and\n\
-         client-observed p99 latency must not grow — by more than the\n\
-         noise band (default 25%, i.e. --band 25). Prints one line per\n\
-         compared metric and exits non-zero when anything regressed\n\
-         beyond the band, so CI can gate on it. Pairs present in only\n\
-         one artifact are ignored; artifacts with no overlap at all are\n\
-         an error.\n",
+        "help",
+        "kastio help [command]\n\n\
+         Prints the usage of every command, or the detailed help of one.\n",
     ),
 ];
 
@@ -231,7 +222,6 @@ struct Flags {
     snapshot_every: u64,
     clients: usize,
     ops: usize,
-    band: u64,
     slow_query_micros: Option<u64>,
     max_memory_bytes: Option<u64>,
     max_connections: Option<usize>,
@@ -278,7 +268,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         snapshot_every: 0,
         clients: 4,
         ops: 20,
-        band: 25,
         slow_query_micros: None,
         max_memory_bytes: None,
         max_connections: None,
@@ -328,7 +317,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             | "--snapshot-every"
             | "--clients"
             | "--ops"
-            | "--band"
             | "--slow-query-micros"
             | "--max-memory-bytes"
             | "--max-connections"
@@ -345,7 +333,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                     "--snapshot-every" => flags.snapshot_every = parsed,
                     "--clients" => flags.clients = (parsed as usize).max(1),
                     "--ops" => flags.ops = (parsed as usize).max(1),
-                    "--band" => flags.band = parsed,
                     // 0 is meaningful: log every request.
                     "--slow-query-micros" => flags.slow_query_micros = Some(parsed),
                     "--max-memory-bytes" => flags.max_memory_bytes = Some(parsed.max(1)),
@@ -692,38 +679,10 @@ fn cmd_loadgen(flags: &Flags) -> Result<(), String> {
             );
         }
     }
-    let out = flags.out.as_deref().unwrap_or("BENCH_serve.json");
+    let out = flags.out.as_deref().unwrap_or("loadgen.json");
     std::fs::write(out, report.to_json()).map_err(|e| format!("cannot write {out}: {e}"))?;
     println!("wrote {out}");
     Ok(())
-}
-
-fn cmd_bench_diff(flags: &Flags) -> Result<(), String> {
-    let [new_path, baseline_path] = flags.positional.as_slice() else {
-        return Err("bench-diff needs exactly `<new.json> <baseline.json>`".to_string());
-    };
-    let read = |path: &str| -> Result<kastio::loadgen::Json, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        kastio::loadgen::parse_json(&text).map_err(|e| format!("{path}: {e}"))
-    };
-    let diff = kastio::loadgen::diff_reports(
-        &read(new_path)?,
-        &read(baseline_path)?,
-        flags.band as f64 / 100.0,
-    )?;
-    print!("{}", diff.render());
-    let regressions = diff.regressions();
-    if regressions.is_empty() {
-        println!("ok: {} metrics within ±{}% of {baseline_path}", diff.rows.len(), flags.band);
-        Ok(())
-    } else {
-        Err(format!(
-            "{} of {} metrics regressed beyond ±{}% (new: {new_path}, baseline: {baseline_path})",
-            regressions.len(),
-            diff.rows.len(),
-            flags.band
-        ))
-    }
 }
 
 fn cmd_help(flags: &Flags) -> Result<(), String> {
@@ -737,10 +696,10 @@ fn cmd_help(flags: &Flags) -> Result<(), String> {
                 print!("{text}");
                 Ok(())
             }
-            None => Err(format!(
-                "no help for `{topic}` (topics: convert compare generate cluster serve query \
-                 loadgen bench-diff)"
-            )),
+            None => {
+                let topics: Vec<&str> = HELP_TOPICS.iter().map(|(name, _)| *name).collect();
+                Err(format!("no help for `{topic}` (topics: {})", topics.join(" ")))
+            }
         },
         _ => Err("help takes at most one command name".to_string()),
     }
@@ -771,7 +730,6 @@ fn main() -> ExitCode {
         "serve" => cmd_serve(&flags),
         "query" => cmd_query(&flags),
         "loadgen" => cmd_loadgen(&flags),
-        "bench-diff" => cmd_bench_diff(&flags),
         "help" => cmd_help(&flags),
         "--help" | "-h" => {
             print!("{USAGE}");

@@ -26,7 +26,7 @@
 //! | [`workloads`] | `kastio-workloads` | IOR/FLASH-IO-style generators, the 110-example dataset |
 //! | [`obs`] | `kastio-obs` | observability primitives: log-bucketed latency histograms, striped concurrent recording, slow-query log, metrics exposition |
 //! | [`index`] | `kastio-index` | read-concurrent corpus index: k-NN queries, signature prefilter, a byte-bounded query memo, serve/query daemon |
-//! | [`loadgen`] | `kastio-loadgen` | end-to-end load harness: seeded scenario mixes, concurrent client pool, latency histograms, METRICS scrapes, STATS-delta reports, bench-diff |
+//! | [`loadgen`] | `kastio-loadgen` | end-to-end load harness: seeded scenario mixes, concurrent client pool, latency histograms, METRICS scrapes, STATS-delta reports |
 //!
 //! The most common items are re-exported at the crate root.
 //!

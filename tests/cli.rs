@@ -101,9 +101,11 @@ fn generate_then_cluster_roundtrip() {
 
 #[test]
 fn unknown_command_fails_cleanly() {
-    let out = bin().arg("frobnicate").output().expect("binary runs");
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command"));
+    for command in ["frobnicate", "bench-diff"] {
+        let out = bin().arg(command).output().expect("binary runs");
+        assert!(!out.status.success(), "{command} is not a command");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command"), "{command}");
+    }
 }
 
 #[test]
@@ -135,8 +137,13 @@ fn help_subcommand_covers_all_commands() {
     let out = bin().arg("help").output().expect("binary runs");
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
-    for command in ["convert", "compare", "generate", "cluster", "serve", "query", "help"] {
+    let commands =
+        ["convert", "compare", "generate", "cluster", "serve", "query", "loadgen", "help"];
+    for command in commands {
         assert!(stdout.contains(command), "usage mentions {command}:\n{stdout}");
+        let topic = bin().args(["help", command]).output().expect("binary runs");
+        assert!(topic.status.success(), "`kastio help {command}` succeeds");
+        assert!(String::from_utf8_lossy(&topic.stdout).contains(&format!("kastio {command}")));
     }
 }
 
@@ -150,7 +157,9 @@ fn help_topic_is_detailed() {
 
     let out = bin().args(["help", "frobnicate"]).output().expect("binary runs");
     assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("frobnicate"));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("frobnicate"));
+    assert!(stderr.contains("loadgen"), "the error lists every topic:\n{stderr}");
 }
 
 #[test]
